@@ -11,8 +11,8 @@ use crate::model::FileModel;
 use std::collections::HashSet;
 
 /// Names that count as scan entry points. `contains("_weighted")` rather
-/// than a suffix match because `filter_weighted_moments` puts the marker
-/// mid-name.
+/// than a suffix match because a weighted kernel may put the marker
+/// mid-name (`scan_weighted_sum`).
 fn is_kernel_name(name: &str) -> bool {
     name.starts_with("mask_")
         || name.ends_with("_partitioned")

@@ -1,13 +1,10 @@
-//! Scalar vs rowwise vs chunked scan benchmark on a paper-scale impression.
+//! Scalar vs chunked scan benchmark on a paper-scale impression.
 //!
-//! Three execution tiers are timed on every case:
+//! Two execution paths are timed on every case:
 //!
 //! * **scalar** — the row-at-a-time oracle (`Predicate::evaluate` +
 //!   `compute_aggregate`): the correctness baseline.
-//! * **rowwise** — the retained PR 2 vectorized pipeline
-//!   (`CompiledPredicate::{evaluate,count_matches,filter_moments}_rowwise`):
-//!   typed tight-loop kernels over candidate lists.
-//! * **chunked** — the current default: 64-row `u64` match-mask kernels
+//! * **chunked** — the compiled pipeline: 64-row `u64` match-mask kernels
 //!   ANDed word-at-a-time against the validity bitmaps, with string
 //!   predicates on dictionary-encoded columns collapsing to integer code
 //!   compares.
@@ -74,16 +71,12 @@ fn build_table(rows: usize) -> Table {
 struct BenchRow {
     name: &'static str,
     scalar_ns: f64,
-    rowwise_ns: f64,
     chunked_ns: f64,
 }
 
 impl BenchRow {
     fn chunked_vs_scalar(&self) -> f64 {
         self.scalar_ns / self.chunked_ns.max(1.0)
-    }
-    fn chunked_vs_rowwise(&self) -> f64 {
-        self.rowwise_ns / self.chunked_ns.max(1.0)
     }
 }
 
@@ -112,7 +105,7 @@ fn main() {
     let mut table = build_table(rows_n);
     let schema = table.schema().clone();
     println!(
-        "scan_kernels: scalar vs rowwise vs chunked on {} rows ({iters} iters/case{})\n",
+        "scan_kernels: scalar vs chunked on {} rows ({iters} iters/case{})\n",
         table.row_count(),
         if quick { ", quick mode" } else { "" }
     );
@@ -141,9 +134,9 @@ fn main() {
 
     let mut rows: Vec<BenchRow> = Vec::new();
 
-    // Selection benchmark over all three tiers, with an oracle cross-check
-    // first. Used once on the plain table and again (for the string case)
-    // after dictionary encoding.
+    // Selection benchmark over both paths, with an oracle cross-check first.
+    // Used once on the plain table and again (for the string case) after
+    // dictionary encoding.
     let mut bench_selection = |table: &Table, name: &'static str, predicate: &Predicate| {
         let compiled = CompiledPredicate::compile(predicate, table.schema()).expect("compiles");
         let expected = predicate.evaluate(table).expect("oracle");
@@ -152,19 +145,11 @@ fn main() {
             expected,
             "{name}: chunked selection diverges from the oracle"
         );
-        assert_eq!(
-            compiled.evaluate_rowwise(table).expect("rowwise").0,
-            expected,
-            "{name}: rowwise selection diverges from the oracle"
-        );
         let scalar_ns = time_ns(&mut || predicate.evaluate(table).expect("oracle").len() as u64);
-        let rowwise_ns =
-            time_ns(&mut || compiled.evaluate_rowwise(table).expect("rowwise").0.len() as u64);
         let chunked_ns = time_ns(&mut || compiled.evaluate(table).expect("chunked").len() as u64);
         rows.push(BenchRow {
             name,
             scalar_ns,
-            rowwise_ns,
             chunked_ns,
         });
     };
@@ -184,31 +169,7 @@ fn main() {
     // and re-run the string case: predicates become integer code compares.
     let encoded = table.dict_encode_strings(usize::MAX);
     assert_eq!(encoded, 1, "class column should dictionary-encode");
-    bench_selection(&table, "string_eq_scan_dict", &class_eq);
-
-    // The two pipelines end to end: the PR 2 tier stored plain strings and
-    // scanned them rowwise; the current tier dictionary-encodes at
-    // impression construction and scans the codes chunked. The within-
-    // encoding rows above isolate the kernels; this row pairs each tier
-    // with the physical layout it actually runs on.
-    {
-        let plain = rows
-            .iter()
-            .find(|r| r.name == "string_eq_scan")
-            .expect("plain string row timed above");
-        let dict = rows
-            .iter()
-            .find(|r| r.name == "string_eq_scan_dict")
-            .expect("dict string row timed above");
-        let (scalar_ns, rowwise_ns, chunked_ns) =
-            (plain.scalar_ns, plain.rowwise_ns, dict.chunked_ns);
-        rows.push(BenchRow {
-            name: "string_eq_pipeline",
-            scalar_ns,
-            rowwise_ns,
-            chunked_ns,
-        });
-    }
+    bench_selection(&table, "string_eq_dict", &class_eq);
 
     // --- fused filter+aggregate benchmarks --------------------------------
     {
@@ -217,18 +178,11 @@ fn main() {
         let oracle_count = oracle_sel.len();
         let (fused_count, _) = compiled.count_matches(&table).expect("fused count");
         assert_eq!(fused_count, oracle_count, "fused count diverges");
-        let (rowwise_count, _) = compiled
-            .count_matches_rowwise(&table)
-            .expect("rowwise count");
-        assert_eq!(rowwise_count, oracle_count, "rowwise count diverges");
         let scalar_ns = time_ns(&mut || cone.evaluate(&table).expect("oracle").len() as u64);
-        let rowwise_ns =
-            time_ns(&mut || compiled.count_matches_rowwise(&table).expect("rowwise").0 as u64);
         let chunked_ns = time_ns(&mut || compiled.count_matches(&table).expect("fused").0 as u64);
         rows.push(BenchRow {
             name: "fused_filter_count",
             scalar_ns,
-            rowwise_ns,
             chunked_ns,
         });
 
@@ -241,26 +195,11 @@ fn main() {
             sketch.aggregate(AggregateKind::Avg),
             "fused AVG diverges"
         );
-        let (sketch, _) = compiled
-            .filter_moments_rowwise(&table, "r_mag")
-            .expect("rowwise avg");
-        assert_eq!(
-            oracle_avg,
-            sketch.aggregate(AggregateKind::Avg),
-            "rowwise AVG diverges"
-        );
         let scalar_ns = time_ns(&mut || {
             let sel = cone.evaluate(&table).expect("oracle");
             compute_aggregate(&table, Some("r_mag"), AggregateKind::Avg, &sel)
                 .expect("aggregate")
                 .rows as u64
-        });
-        let rowwise_ns = time_ns(&mut || {
-            compiled
-                .filter_moments_rowwise(&table, "r_mag")
-                .expect("rowwise")
-                .0
-                .matched as u64
         });
         let chunked_ns = time_ns(&mut || {
             compiled
@@ -272,25 +211,22 @@ fn main() {
         rows.push(BenchRow {
             name: "fused_filter_avg",
             scalar_ns,
-            rowwise_ns,
             chunked_ns,
         });
     }
 
     // --- report ------------------------------------------------------------
     println!(
-        "{:<24} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "benchmark", "scalar", "rowwise", "chunked", "vs.scal", "vs.roww"
+        "{:<24} {:>12} {:>12} {:>9}",
+        "benchmark", "scalar", "chunked", "vs.scal"
     );
     for row in &rows {
         println!(
-            "{:<24} {:>10.0}µs {:>10.0}µs {:>10.0}µs {:>8.1}x {:>8.1}x",
+            "{:<24} {:>10.0}µs {:>10.0}µs {:>8.1}x",
             row.name,
             row.scalar_ns / 1e3,
-            row.rowwise_ns / 1e3,
             row.chunked_ns / 1e3,
             row.chunked_vs_scalar(),
-            row.chunked_vs_rowwise(),
         );
     }
     let all_faster = rows.iter().all(|r| r.chunked_ns < r.scalar_ns);
@@ -299,22 +235,10 @@ fn main() {
         .iter()
         .map(BenchRow::chunked_vs_scalar)
         .fold(f64::INFINITY, f64::min);
-    // the headline: the best chunked-vs-rowwise case, with its name
-    let headline = rows
-        .iter()
-        .max_by(|a, b| {
-            a.chunked_vs_rowwise()
-                .partial_cmp(&b.chunked_vs_rowwise())
-                .expect("finite ratios")
-        })
-        .expect("non-empty bench set");
     println!(
         "\nchunked path {} the scalar path on every case \
-         (worst chunked-vs-scalar {chunked_vs_scalar:.2}x); \
-         best chunked-vs-rowwise: {:.2}x on {}",
+         (worst chunked-vs-scalar {chunked_vs_scalar:.2}x)",
         if all_faster { "beats" } else { "does NOT beat" },
-        headline.chunked_vs_rowwise(),
-        headline.name,
     );
 
     if let Some(path) = json_out {
@@ -324,25 +248,16 @@ fn main() {
         let _ = writeln!(json, "  \"quick_mode\": {quick},");
         let _ = writeln!(json, "  \"all_vectorized_faster\": {all_faster},");
         let _ = writeln!(json, "  \"chunked_vs_scalar\": {chunked_vs_scalar:.2},");
-        let _ = writeln!(
-            json,
-            "  \"headline_chunked_vs_rowwise\": {:.2},",
-            headline.chunked_vs_rowwise()
-        );
-        let _ = writeln!(json, "  \"headline_case\": \"{}\",", headline.name);
         json.push_str("  \"benchmarks\": [\n");
         for (i, row) in rows.iter().enumerate() {
             let _ = write!(
                 json,
-                "    {{\"name\": \"{}\", \"scalar_ns\": {:.0}, \"rowwise_ns\": {:.0}, \
-                 \"chunked_ns\": {:.0}, \"chunked_vs_scalar\": {:.2}, \
-                 \"chunked_vs_rowwise\": {:.2}}}",
+                "    {{\"name\": \"{}\", \"scalar_ns\": {:.0}, \"chunked_ns\": {:.0}, \
+                 \"chunked_vs_scalar\": {:.2}}}",
                 row.name,
                 row.scalar_ns,
-                row.rowwise_ns,
                 row.chunked_ns,
                 row.chunked_vs_scalar(),
-                row.chunked_vs_rowwise(),
             );
             json.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
         }

@@ -13,9 +13,9 @@
 //!   streamed path removes.
 //! * **selection fallback** — the current public-API fallback: materialise
 //!   the selection, walk only the selected rows (linear, no zero padding).
-//! * **streamed** — the fused weighted kernels
-//!   (`CompiledPredicate::{count_weighted, filter_weighted_moments}`): one
-//!   pass, no selection vector, no observation vector.
+//! * **streamed** — the path the engine runs: a `WeightedMomentSink` driven
+//!   through `multi_scan` (one pass, no selection vector, no observation
+//!   vector).
 //!
 //! Before any timing, all three paths (plus the sharded streamed variants)
 //! are cross-checked **bit for bit** against each other and the scalar
@@ -29,8 +29,9 @@
 //! bench binaries', so `cargo bench` can pass all of them to every binary).
 
 use sciborq_columnar::{
-    Column, CompiledPredicate, DataType, Field, Partitioning, Predicate, RecordBatch, Schema,
-    SelectionVector, Table, Value,
+    multi_scan, numeric_source, Column, CompiledPredicate, DataType, Field, MultiScanItem,
+    Partitioning, Predicate, RecordBatch, Schema, SelectionVector, Table, Value,
+    WeightedMomentSink, WeightedMomentSketch,
 };
 use sciborq_core::{Impression, SamplingPolicy};
 use sciborq_stats::{Estimate, WeightedEstimator, WeightedObservation};
@@ -146,6 +147,31 @@ fn legacy_sum_estimate(imp: &Impression, column: &str, selection: &SelectionVect
     est
 }
 
+/// The streamed path: a weighted sink (counting when `column` is `None`)
+/// driven through `multi_scan`, serially or over `parts`.
+fn streamed_sketch(
+    compiled: &CompiledPredicate,
+    table: &Table,
+    column: Option<&str>,
+    probs: &[f64],
+    parts: Option<&Partitioning>,
+) -> WeightedMomentSketch {
+    let mut sink = match column {
+        None => WeightedMomentSink::counting(probs),
+        Some(name) => {
+            WeightedMomentSink::new(numeric_source(table, name).expect("numeric column"), probs)
+        }
+    };
+    let mut items = [MultiScanItem {
+        predicate: compiled,
+        sink: &mut sink,
+    }];
+    multi_scan(table, &mut items, parts)
+        .remove(0)
+        .expect("weighted scan");
+    sink.sketch
+}
+
 /// Iterations per case, set once in `main` (more in quick mode, fewer at
 /// the 10M-row full scale where each legacy iteration allocates an
 /// observation per impression row).
@@ -233,9 +259,9 @@ fn verify(imp: &Impression, predicate: &Predicate, compiled: &CompiledPredicate)
 
     let legacy = legacy_count_estimate(imp, &oracle_sel);
     let fallback = imp.estimate_count(&oracle_sel).expect("fallback count");
-    let (count_sketch, _) = compiled.count_weighted(table, probs).expect("fused count");
+    let count_sketch = streamed_sketch(compiled, table, None, probs, None);
     let streamed = imp
-        .estimate_count_weighted(&count_sketch)
+        .estimate_weighted_count(&count_sketch)
         .expect("streamed count");
     assert_estimates_equivalent(&legacy, &fallback, "legacy vs fallback COUNT");
     assert_estimates_bit_equal(&fallback, &streamed, "fallback vs streamed COUNT");
@@ -244,11 +270,9 @@ fn verify(imp: &Impression, predicate: &Predicate, compiled: &CompiledPredicate)
     let fallback = imp
         .estimate_sum("r_mag", &oracle_sel)
         .expect("fallback sum");
-    let (agg_sketch, _) = compiled
-        .filter_weighted_moments(table, "r_mag", probs)
-        .expect("fused moments");
+    let agg_sketch = streamed_sketch(compiled, table, Some("r_mag"), probs, None);
     let streamed = imp
-        .estimate_sum_weighted(&agg_sketch)
+        .estimate_weighted_sum(&agg_sketch)
         .expect("streamed sum");
     assert_estimates_equivalent(&legacy, &fallback, "legacy vs fallback SUM");
     assert_estimates_bit_equal(&fallback, &streamed, "fallback vs streamed SUM");
@@ -257,22 +281,18 @@ fn verify(imp: &Impression, predicate: &Predicate, compiled: &CompiledPredicate)
         .estimate_avg("r_mag", &oracle_sel)
         .expect("fallback avg");
     let streamed = imp
-        .estimate_avg_weighted(&agg_sketch)
+        .estimate_weighted_avg(&agg_sketch)
         .expect("streamed avg");
     assert_estimates_bit_equal(&fallback, &streamed, "fallback vs streamed AVG");
 
     for shards in [2usize, 4] {
         let parts = Partitioning::even(table.row_count(), shards);
-        let (sharded, _) = compiled
-            .count_weighted_partitioned(table, probs, &parts)
-            .expect("sharded fused count");
+        let sharded = streamed_sketch(compiled, table, None, probs, Some(&parts));
         assert_eq!(
             sharded, count_sketch,
             "sharded count sketch diverges at {shards} shards"
         );
-        let (sharded, _) = compiled
-            .filter_weighted_moments_partitioned(table, "r_mag", probs, &parts)
-            .expect("sharded fused moments");
+        let sharded = streamed_sketch(compiled, table, Some("r_mag"), probs, Some(&parts));
         assert_eq!(
             sharded, agg_sketch,
             "sharded moment sketch diverges at {shards} shards"
@@ -345,8 +365,8 @@ fn main() {
             imp.estimate_count(&sel).expect("fallback").sample_size as u64
         });
         let streamed_ns = time_ns(|| {
-            let (sketch, _) = compiled.count_weighted(table, probs).expect("fused");
-            imp.estimate_count_weighted(&sketch)
+            let sketch = streamed_sketch(&compiled, table, None, probs, None);
+            imp.estimate_weighted_count(&sketch)
                 .expect("streamed")
                 .sample_size as u64
         });
@@ -371,10 +391,8 @@ fn main() {
                 .sample_size as u64
         });
         let streamed_ns = time_ns(|| {
-            let (sketch, _) = compiled
-                .filter_weighted_moments(table, "r_mag", probs)
-                .expect("fused");
-            imp.estimate_sum_weighted(&sketch)
+            let sketch = streamed_sketch(&compiled, table, Some("r_mag"), probs, None);
+            imp.estimate_weighted_sum(&sketch)
                 .expect("streamed")
                 .sample_size as u64
         });
@@ -397,10 +415,8 @@ fn main() {
                 .sample_size as u64
         });
         let streamed_ns = time_ns(|| {
-            let (sketch, _) = compiled
-                .filter_weighted_moments(table, "r_mag", probs)
-                .expect("fused");
-            imp.estimate_avg_weighted(&sketch)
+            let sketch = streamed_sketch(&compiled, table, Some("r_mag"), probs, None);
+            imp.estimate_weighted_avg(&sketch)
                 .expect("streamed")
                 .sample_size as u64
         });

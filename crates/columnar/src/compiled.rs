@@ -20,11 +20,9 @@
 //! keeps the fused count/moments/weighted folds bit-identical to the scalar
 //! oracle. String predicates over dictionary-encoded Utf8 columns are
 //! translated into integer code ranges ([`DictPred`]) at dispatch time, so
-//! their scans are pure integer compares.
-//!
-//! The previous row-at-a-time tier (candidate lists, one `is_valid` test
-//! per row) is retained behind the `*_rowwise` entry points as the
-//! benchmark baseline the chunked tier is measured against.
+//! their scans are pure integer compares. This chunked evaluator is the only
+//! execution tier; the scalar oracle is the one reference it is tested
+//! against.
 //!
 //! Semantics match `Predicate::evaluate` (the scalar oracle) with one
 //! documented exception: a NaN stored in a Float64 *cell* is rejected lazily
@@ -40,17 +38,14 @@ use crate::expr::{CompareOp, Predicate};
 use crate::kernels::{
     any_valid, mask_all, mask_cmp_bool, mask_cmp_f64, mask_cmp_i64, mask_cmp_i64_f64, mask_cmp_str,
     mask_dict, mask_is_not_null, mask_is_null, mask_range_bool, mask_range_f64, mask_range_i64,
-    mask_range_str, scan_all, scan_cmp_bool, scan_cmp_f64, scan_cmp_i64, scan_cmp_i64_f64,
-    scan_cmp_str, scan_dict, scan_is_not_null, scan_is_null, scan_range_bool, scan_range_f64,
-    scan_range_i64, scan_range_str, AggSource, CountSink, DictPred, MatchMask, MomentSink,
-    MomentSketch, NumBound, ScanDomain, SelectionSink, WeightedMomentSink,
+    mask_range_str, AggSource, CountSink, DictPred, MatchMask, MomentSink, MomentSketch, NumBound,
+    ScanDomain, SelectionSink,
 };
 use crate::partition::Partitioning;
 use crate::schema::SchemaRef;
 use crate::selection::SelectionVector;
 use crate::table::Table;
 use crate::value::{DataType, Value};
-use sciborq_stats::WeightedMomentSketch;
 use std::sync::Arc;
 
 /// Measured scan work performed by a compiled evaluation.
@@ -140,7 +135,7 @@ enum Node {
     /// the column, otherwise selects nothing — the oracle's lazy mismatch
     /// semantics.
     ErrOnValid { col: usize, found: &'static str },
-    /// Conjunction, executed with candidate-list refinement.
+    /// Conjunction, executed as wordwise mask refinement.
     And(Vec<Node>),
     /// Disjunction (children evaluated over the same domain, results
     /// unioned).
@@ -244,98 +239,6 @@ impl CompiledPredicate {
         Ok((sink.sketch, stats))
     }
 
-    /// Fused weighted filter+count for Hansen–Hurwitz estimation: every
-    /// matching row contributes `1.0` expanded by its single-draw selection
-    /// probability, accumulated into a [`WeightedMomentSketch`] in a single
-    /// pass — no selection vector, no observation vector.
-    ///
-    /// `probabilities` must hold one probability per table row (the
-    /// impression's cached selection-probability slice).
-    pub fn count_weighted(
-        &self,
-        table: &Table,
-        probabilities: &[f64],
-    ) -> Result<(WeightedMomentSketch, ScanStats)> {
-        self.check_table(table)?;
-        check_probabilities(table, probabilities)?;
-        let mut stats = ScanStats::default();
-        let mut sink = WeightedMomentSink::counting(probabilities);
-        self.run_fused(
-            table,
-            ScanDomain::Full(table.row_count()),
-            &mut sink,
-            &mut stats,
-        )?;
-        Ok((sink.sketch, stats))
-    }
-
-    /// Fused weighted filter+aggregate: stream every matching row's value of
-    /// `column`, expanded by its selection probability, into a
-    /// [`WeightedMomentSketch`] in a single pass (including through the
-    /// candidate-list refinement of conjunctions — the terminal conjunct
-    /// pushes straight into the weighted sink).
-    ///
-    /// `column` must be numeric (Int64 or Float64); NULL values only bump
-    /// the sketch's matched count.
-    pub fn filter_weighted_moments(
-        &self,
-        table: &Table,
-        column: &str,
-        probabilities: &[f64],
-    ) -> Result<(WeightedMomentSketch, ScanStats)> {
-        self.check_table(table)?;
-        check_probabilities(table, probabilities)?;
-        let source = numeric_source(table, column)?;
-        let mut stats = ScanStats::default();
-        let mut sink = WeightedMomentSink::new(source, probabilities);
-        self.run_fused(
-            table,
-            ScanDomain::Full(table.row_count()),
-            &mut sink,
-            &mut stats,
-        )?;
-        Ok((sink.sketch, stats))
-    }
-
-    /// Sharded [`CompiledPredicate::count_weighted`]. Like
-    /// [`CompiledPredicate::filter_moments_partitioned`], the *filter* fans
-    /// out across shard workers and the per-shard match lists are folded
-    /// into one sketch on the calling thread in ascending shard order —
-    /// global row order — so every accumulated expansion sum is
-    /// **bit-identical** to the serial kernel (float addition is not
-    /// associative; merging per-shard float accumulators could not guarantee
-    /// that).
-    pub fn count_weighted_partitioned(
-        &self,
-        table: &Table,
-        probabilities: &[f64],
-        parts: &Partitioning,
-    ) -> Result<(WeightedMomentSketch, Vec<ScanStats>)> {
-        self.check_partitioning(table, parts)?;
-        check_probabilities(table, probabilities)?;
-        let mut sink = WeightedMomentSink::counting(probabilities);
-        let stats = self.replay_shards_into(table, parts, &mut sink)?;
-        Ok((sink.sketch, stats))
-    }
-
-    /// Sharded [`CompiledPredicate::filter_weighted_moments`], with the same
-    /// fixed shard-order fold (and therefore the same bit-identity
-    /// guarantee) as [`CompiledPredicate::count_weighted_partitioned`].
-    pub fn filter_weighted_moments_partitioned(
-        &self,
-        table: &Table,
-        column: &str,
-        probabilities: &[f64],
-        parts: &Partitioning,
-    ) -> Result<(WeightedMomentSketch, Vec<ScanStats>)> {
-        self.check_partitioning(table, parts)?;
-        check_probabilities(table, probabilities)?;
-        let source = numeric_source(table, column)?;
-        let mut sink = WeightedMomentSink::new(source, probabilities);
-        let stats = self.replay_shards_into(table, parts, &mut sink)?;
-        Ok((sink.sketch, stats))
-    }
-
     /// Fan the filter out over the shards of `parts`, then replay the
     /// matching rows into `sink` in ascending shard order (= global row
     /// order): the shared tail of the partitioned fused-aggregate paths.
@@ -345,12 +248,7 @@ impl CompiledPredicate {
         parts: &Partitioning,
         sink: &mut S,
     ) -> Result<Vec<ScanStats>> {
-        let shards = self.for_each_shard(parts, |domain| {
-            let mut stats = ScanStats::default();
-            let mut rows: Vec<usize> = Vec::new();
-            self.run_fused(table, domain, &mut rows, &mut stats)?;
-            Ok((rows, stats))
-        })?;
+        let shards = self.shard_rows(table, parts)?;
         let mut stats = Vec::with_capacity(shards.len());
         for (rows, shard_stats) in shards {
             for row in rows {
@@ -359,6 +257,24 @@ impl CompiledPredicate {
             stats.push(shard_stats);
         }
         Ok(stats)
+    }
+
+    /// Filter every shard of `parts` on its own worker, materialising each
+    /// shard's matching row ids (absolute, ascending) with its measured
+    /// work. On error, the lowest failing shard's error wins.
+    fn shard_rows(
+        &self,
+        table: &Table,
+        parts: &Partitioning,
+    ) -> Result<Vec<(Vec<usize>, ScanStats)>> {
+        for_each_shard(parts, |domain| {
+            let mut stats = ScanStats::default();
+            let mut rows: Vec<usize> = Vec::new();
+            self.run_fused(table, domain, &mut rows, &mut stats)?;
+            Ok((rows, stats))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Run the predicate over `base` through the chunked mask evaluator:
@@ -374,146 +290,11 @@ impl CompiledPredicate {
         sink: &mut S,
         stats: &mut ScanStats,
     ) -> Result<()> {
-        let (start, end) = match base {
-            ScanDomain::Full(len) => (0, len),
-            ScanDomain::Range { start, end } => (start, end.max(start)),
-            // candidate-list domains only arise inside the rowwise tier
-            ScanDomain::Candidates(_) => return self.run_fused_rowwise(table, base, sink, stats),
-        };
+        let (start, end) = base.bounds();
         let mut mask = MatchMask::coverage(start, end);
         refine_node(&self.root, table, &mut mask, stats)?;
         mask.emit(sink);
         Ok(())
-    }
-
-    /// Row-at-a-time evaluation to a selection vector — the retained PR 2
-    /// execution tier (scalar `is_valid` tests, candidate lists), kept as
-    /// the baseline the chunked tier is benchmarked against.
-    pub fn evaluate_rowwise(&self, table: &Table) -> Result<(SelectionVector, ScanStats)> {
-        self.check_table(table)?;
-        let mut stats = ScanStats::default();
-        let mut rows: Vec<usize> = Vec::new();
-        self.run_fused_rowwise(
-            table,
-            ScanDomain::Full(table.row_count()),
-            &mut rows,
-            &mut stats,
-        )?;
-        Ok((SelectionVector::from_sorted_rows(rows), stats))
-    }
-
-    /// Row-at-a-time fused filter+count (the PR 2 tier; see
-    /// [`CompiledPredicate::evaluate_rowwise`]).
-    pub fn count_matches_rowwise(&self, table: &Table) -> Result<(usize, ScanStats)> {
-        self.check_table(table)?;
-        let mut stats = ScanStats::default();
-        let mut sink = CountSink::default();
-        self.run_fused_rowwise(
-            table,
-            ScanDomain::Full(table.row_count()),
-            &mut sink,
-            &mut stats,
-        )?;
-        Ok((sink.0, stats))
-    }
-
-    /// Row-at-a-time fused filter+aggregate (the PR 2 tier; see
-    /// [`CompiledPredicate::evaluate_rowwise`]).
-    pub fn filter_moments_rowwise(
-        &self,
-        table: &Table,
-        column: &str,
-    ) -> Result<(MomentSketch, ScanStats)> {
-        self.check_table(table)?;
-        let source = numeric_source(table, column)?;
-        let mut stats = ScanStats::default();
-        let mut sink = MomentSink::new(source);
-        self.run_fused_rowwise(
-            table,
-            ScanDomain::Full(table.row_count()),
-            &mut sink,
-            &mut stats,
-        )?;
-        Ok((sink.sketch, stats))
-    }
-
-    /// Run the predicate over `base` with the conjunction prefix refined
-    /// into candidate lists and the *last* conjunct streamed into `sink` —
-    /// the row-at-a-time legacy tier.
-    fn run_fused_rowwise<S: SelectionSink>(
-        &self,
-        table: &Table,
-        base: ScanDomain,
-        sink: &mut S,
-        stats: &mut ScanStats,
-    ) -> Result<()> {
-        let (prefix, last): (&[Node], &Node) = match &self.root {
-            Node::And(children) => match children.split_last() {
-                Some((last, prefix)) => (prefix, last),
-                None => (&[], &self.root),
-            },
-            other => (&[], other),
-        };
-        let mut candidates: Option<SelectionVector> = None;
-        for child in prefix {
-            let domain = match &candidates {
-                None => base,
-                Some(sel) => ScanDomain::Candidates(sel.rows()),
-            };
-            // mirror the oracle: an empty running selection short-circuits
-            // the conjunction before the next conjunct is evaluated
-            if domain.is_empty() {
-                return Ok(());
-            }
-            candidates = Some(eval_node(child, table, domain, stats)?);
-        }
-        if candidates.as_ref().is_some_and(|sel| sel.is_empty()) {
-            return Ok(());
-        }
-        let domain = match &candidates {
-            None => base,
-            Some(sel) => ScanDomain::Candidates(sel.rows()),
-        };
-        run_terminal(last, table, domain, sink, stats)
-    }
-
-    /// Run `work` over every shard of `parts`, shard 0 on the calling thread
-    /// and one `std::thread::scope` worker per further shard. Results come
-    /// back in ascending shard order; on error, the error of the *lowest*
-    /// failing shard is returned, so failures are deterministic regardless
-    /// of thread scheduling.
-    fn for_each_shard<T, F>(&self, parts: &Partitioning, work: F) -> Result<Vec<T>>
-    where
-        T: Send,
-        F: Fn(ScanDomain) -> Result<T> + Sync,
-    {
-        let shard_domain = |i: usize| {
-            let r = parts.range(i);
-            ScanDomain::Range {
-                start: r.start,
-                end: r.end,
-            }
-        };
-        if parts.is_single() {
-            return Ok(vec![work(shard_domain(0))?]);
-        }
-        let results: Vec<Result<T>> = std::thread::scope(|scope| {
-            let work = &work;
-            let handles: Vec<_> = (1..parts.shard_count())
-                .map(|i| {
-                    let domain = shard_domain(i);
-                    scope.spawn(move || work(domain))
-                })
-                .collect();
-            let mut out = Vec::with_capacity(parts.shard_count());
-            out.push(work(shard_domain(0)));
-            for handle in handles {
-                // analyzer:allow(panic_path, reason = "a worker panic is a bug in the kernel itself; re-raising it preserves std::thread::scope abort semantics")
-                out.push(handle.join().expect("shard worker panicked"));
-            }
-            out
-        });
-        results.into_iter().collect()
     }
 
     fn check_partitioning(&self, table: &Table, parts: &Partitioning) -> Result<()> {
@@ -531,23 +312,17 @@ impl CompiledPredicate {
     /// `parts` is filtered by its own worker thread and the per-shard
     /// candidate lists are concatenated in ascending shard order. Because
     /// shards are contiguous and ascending, the concatenation *is* the
-    /// single-threaded selection — identical rows in identical order. For
-    /// plain leaves and top-level conjunctions the per-shard [`ScanStats`]
-    /// also sum to the single-threaded stats; nested combinators that fall
-    /// back to full-column scans (`ErrOnValid`, AND under a candidate list)
-    /// repeat that full scan per shard and report the extra work honestly.
+    /// single-threaded selection — identical rows in identical order. The
+    /// per-shard [`ScanStats`] also sum to the single-threaded stats, except
+    /// that a lazily type-mismatched literal (`ErrOnValid`) checks its whole
+    /// column on every shard and reports that extra work honestly.
     pub fn evaluate_partitioned(
         &self,
         table: &Table,
         parts: &Partitioning,
     ) -> Result<(SelectionVector, Vec<ScanStats>)> {
         self.check_partitioning(table, parts)?;
-        let shards = self.for_each_shard(parts, |domain| {
-            let mut stats = ScanStats::default();
-            let mut rows: Vec<usize> = Vec::new();
-            self.run_fused(table, domain, &mut rows, &mut stats)?;
-            Ok((rows, stats))
-        })?;
+        let shards = self.shard_rows(table, parts)?;
         let mut all_rows = Vec::with_capacity(shards.iter().map(|(r, _)| r.len()).sum());
         let mut stats = Vec::with_capacity(shards.len());
         for (rows, shard_stats) in shards {
@@ -566,12 +341,14 @@ impl CompiledPredicate {
         parts: &Partitioning,
     ) -> Result<(usize, Vec<ScanStats>)> {
         self.check_partitioning(table, parts)?;
-        let shards = self.for_each_shard(parts, |domain| {
+        let shards = for_each_shard(parts, |domain| {
             let mut stats = ScanStats::default();
             let mut sink = CountSink::default();
             self.run_fused(table, domain, &mut sink, &mut stats)?;
             Ok((sink.0, stats))
-        })?;
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
         let mut total = 0usize;
         let mut stats = Vec::with_capacity(shards.len());
         for (count, shard_stats) in shards {
@@ -624,27 +401,29 @@ pub struct MultiScanItem<'p, 's> {
 pub const MULTI_SCAN_BATCH_ROWS: usize = 8_192;
 
 /// Evaluate N compiled predicates over one table in a single shared sweep,
-/// streaming each predicate's matching rows into its own sink — the
-/// multi-sink generalisation of [`CompiledPredicate::filter_moments`] /
-/// [`CompiledPredicate::filter_weighted_moments`] that lets a serving layer
-/// answer a whole batch of same-impression queries with one scan pass.
+/// streaming each predicate's matching rows into its own sink. This is the
+/// multi-sink generalisation of [`CompiledPredicate::filter_moments`] and
+/// the one scan entry point of the aggregate engine: a single query is a
+/// batch of one, and weighted sinks ([`crate::WeightedMomentSink`]) reach
+/// the kernels only through here.
 ///
 /// Each item is evaluated independently and reports its own
 /// [`ScanStats`] (or its own error — one query's type mismatch never poisons
 /// its batch mates; on error that item's sink contents are unspecified).
+/// Sinks read their side data (aggregation column, selection
+/// probabilities) by table row, so that data must cover the table.
 ///
-/// **Bit-identity.** Every sink receives exactly the row sequence the
-/// corresponding serial fused entry point would have produced, in ascending
-/// row order: the serial path walks contiguous row batches in order, and the
-/// sharded path (`parts` with more than one shard) has workers materialise
-/// per-shard match lists which are replayed into the sinks on the calling
-/// thread in ascending shard order — the same fixed-order fold as
-/// [`CompiledPredicate::filter_moments_partitioned`]. Accumulated moments
-/// are therefore bit-identical to a per-query serial scan. Scan-work
-/// accounting matches the serial path for flattened predicates; nested
-/// conjunctions reached through candidate lists repeat their full-column
-/// fallback per row batch and report that extra work honestly, mirroring the
-/// documented behaviour of the partitioned paths.
+/// **Bit-identity.** Every sink receives exactly the rows the scalar oracle
+/// selects, in ascending row order: the serial path walks contiguous row
+/// batches in order, and the sharded path (`parts` with more than one
+/// shard) has workers materialise per-shard match lists which are replayed
+/// into the sinks on the calling thread in ascending shard order — the same
+/// fixed-order fold as [`CompiledPredicate::filter_moments_partitioned`].
+/// Accumulated moments are therefore bit-identical whatever the batch
+/// composition or shard count. Scan-work accounting is additive across row
+/// batches and shards, except that a lazily type-mismatched literal checks
+/// its whole column once per batch or shard and reports that extra work
+/// honestly, like the partitioned paths.
 pub fn multi_scan(
     table: &Table,
     items: &mut [MultiScanItem<'_, '_>],
@@ -718,7 +497,7 @@ fn multi_scan_sharded(
 ) {
     let live: Vec<bool> = results.iter().map(Result::is_ok).collect();
     let predicates: Vec<&CompiledPredicate> = items.iter().map(|item| item.predicate).collect();
-    let scan_shard = |domain: ScanDomain| -> Vec<Result<(Vec<usize>, ScanStats)>> {
+    let per_shard = for_each_shard(parts, |domain| {
         predicates
             .iter()
             .zip(&live)
@@ -732,31 +511,7 @@ fn multi_scan_sharded(
                     .run_fused(table, domain, &mut rows, &mut stats)
                     .map(|()| (rows, stats))
             })
-            .collect()
-    };
-    let shard_domain = |i: usize| {
-        let r = parts.range(i);
-        ScanDomain::Range {
-            start: r.start,
-            end: r.end,
-        }
-    };
-    type ShardResults = Vec<Result<(Vec<usize>, ScanStats)>>;
-    let per_shard: Vec<ShardResults> = std::thread::scope(|scope| {
-        let scan_shard = &scan_shard;
-        let handles: Vec<_> = (1..parts.shard_count())
-            .map(|i| {
-                let domain = shard_domain(i);
-                scope.spawn(move || scan_shard(domain))
-            })
-            .collect();
-        let mut out = Vec::with_capacity(parts.shard_count());
-        out.push(scan_shard(shard_domain(0)));
-        for handle in handles {
-            // analyzer:allow(panic_path, reason = "a worker panic is a bug in the kernel itself; re-raising it preserves std::thread::scope abort semantics")
-            out.push(handle.join().expect("shard worker panicked"));
-        }
-        out
+            .collect::<Vec<_>>()
     });
     for shard in per_shard {
         for ((item, result), item_shard) in items.iter_mut().zip(results.iter_mut()).zip(shard) {
@@ -774,16 +529,43 @@ fn multi_scan_sharded(
     }
 }
 
-/// The weighted kernels need one single-draw selection probability per table
-/// row; anything else is a caller bug surfaced as a length mismatch.
-fn check_probabilities(table: &Table, probabilities: &[f64]) -> Result<()> {
-    if probabilities.len() != table.row_count() {
-        return Err(ColumnarError::LengthMismatch {
-            expected: table.row_count(),
-            found: probabilities.len(),
-        });
+/// Run `work` over every shard of `parts`, shard 0 on the calling thread
+/// and one scoped worker thread per further shard — the single
+/// fan-out of the scan layer. Results come back in ascending shard order,
+/// so a caller that collects them into a `Result` gets the error of the
+/// *lowest* failing shard: failures are deterministic regardless of thread
+/// scheduling.
+fn for_each_shard<T, F>(parts: &Partitioning, work: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(ScanDomain) -> T + Sync,
+{
+    let shard_domain = |i: usize| {
+        let r = parts.range(i);
+        ScanDomain::Range {
+            start: r.start,
+            end: r.end,
+        }
+    };
+    if parts.is_single() {
+        return vec![work(shard_domain(0))];
     }
-    Ok(())
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (1..parts.shard_count())
+            .map(|i| {
+                let domain = shard_domain(i);
+                scope.spawn(move || work(domain))
+            })
+            .collect();
+        let mut out = Vec::with_capacity(parts.shard_count());
+        out.push(work(shard_domain(0)));
+        for handle in handles {
+            // analyzer:allow(panic_path, reason = "a worker panic is a bug in the kernel itself; re-raising it preserves scoped-thread abort semantics")
+            out.push(handle.join().expect("shard worker panicked"));
+        }
+        out
+    })
 }
 
 /// Typed access to a numeric aggregation column, shared by the fused and
@@ -996,56 +778,6 @@ fn utf8_cells(c: &Column) -> &[String] {
     c.utf8_slice().expect("Utf8 column")
 }
 
-/// Materialise the domain itself as a selection (the `TRUE` node).
-fn domain_selection(domain: ScanDomain) -> SelectionVector {
-    match domain {
-        ScanDomain::Full(len) => SelectionVector::all(len),
-        ScanDomain::Range { start, end } => {
-            SelectionVector::from_sorted_rows((start..end).collect())
-        }
-        ScanDomain::Candidates(rows) => SelectionVector::from_sorted_rows(rows.to_vec()),
-    }
-}
-
-/// Set difference `domain \ sel` (both sorted): the NOT combinator within a
-/// domain.
-fn domain_minus(domain: ScanDomain, sel: &SelectionVector) -> SelectionVector {
-    fn minus(
-        rows: impl Iterator<Item = usize>,
-        capacity: usize,
-        sel: &SelectionVector,
-    ) -> Vec<usize> {
-        let mut out = Vec::with_capacity(capacity);
-        let mut excluded = sel.rows().iter().peekable();
-        for row in rows {
-            while let Some(&&e) = excluded.peek() {
-                if e < row {
-                    excluded.next();
-                } else {
-                    break;
-                }
-            }
-            if excluded.peek() != Some(&&row) {
-                out.push(row);
-            }
-        }
-        out
-    }
-    match domain {
-        ScanDomain::Full(len) => sel.complement(len),
-        ScanDomain::Range { start, end } => SelectionVector::from_sorted_rows(minus(
-            start..end,
-            (end - start).saturating_sub(sel.len()),
-            sel,
-        )),
-        ScanDomain::Candidates(rows) => SelectionVector::from_sorted_rows(minus(
-            rows.iter().copied(),
-            rows.len().saturating_sub(sel.len()),
-            sel,
-        )),
-    }
-}
-
 /// Evaluate a node by refining `mask` in place — the chunked execution
 /// tier. On entry the mask holds the candidate rows (the coverage of the
 /// base range for a root call); on exit it holds the rows that also satisfy
@@ -1224,204 +956,13 @@ fn refine_leaf(
     }
 }
 
-/// Evaluate a node into a materialised selection over the given domain.
-fn eval_node(
-    node: &Node,
-    table: &Table,
-    domain: ScanDomain,
-    stats: &mut ScanStats,
-) -> Result<SelectionVector> {
-    match node {
-        Node::And(children) => {
-            // The oracle evaluates every conjunct against the full table and
-            // breaks out as soon as the running intersection is empty —
-            // skipping errors the remaining conjuncts would raise. Candidate
-            // refinement is only equivalent when the running selection
-            // coincides with the oracle's (a Full domain); a *nested* AND
-            // reached through a candidate list must therefore evaluate over
-            // the full table and intersect, or its short-circuit would
-            // trigger on candidate emptiness instead of full-table
-            // emptiness.
-            if let ScanDomain::Candidates(_) = domain {
-                let full = eval_node(node, table, ScanDomain::Full(table.row_count()), stats)?;
-                return Ok(domain_selection(domain).intersect(&full));
-            }
-            let mut current: Option<SelectionVector> = None;
-            for child in children {
-                let dom = match &current {
-                    None => domain,
-                    Some(sel) => ScanDomain::Candidates(sel.rows()),
-                };
-                if dom.is_empty() {
-                    break;
-                }
-                current = Some(eval_node(child, table, dom, stats)?);
-            }
-            Ok(current.unwrap_or_else(|| domain_selection(domain)))
-        }
-        Node::Or(children) => {
-            let mut acc = SelectionVector::empty();
-            for child in children {
-                acc = acc.union(&eval_node(child, table, domain, stats)?);
-            }
-            Ok(acc)
-        }
-        Node::Not(child) => {
-            let sel = eval_node(child, table, domain, stats)?;
-            Ok(domain_minus(domain, &sel))
-        }
-        leaf => {
-            let mut rows: Vec<usize> = Vec::new();
-            run_leaf(leaf, table, domain, &mut rows, stats)?;
-            Ok(SelectionVector::from_sorted_rows(rows))
-        }
-    }
-}
-
-/// Run the terminal stage of a fused scan: a leaf streams matches straight
-/// into the sink; a composite node falls back to materialising its
-/// selection and replaying it into the sink.
-fn run_terminal<S: SelectionSink>(
-    node: &Node,
-    table: &Table,
-    domain: ScanDomain,
-    sink: &mut S,
-    stats: &mut ScanStats,
-) -> Result<()> {
-    match node {
-        Node::And(_) | Node::Or(_) | Node::Not(_) => {
-            let sel = eval_node(node, table, domain, stats)?;
-            for row in sel.iter() {
-                sink.accept(row);
-            }
-            Ok(())
-        }
-        leaf => run_leaf(leaf, table, domain, sink, stats),
-    }
-}
-
-/// Dispatch a leaf node to its typed kernel.
-fn run_leaf<S: SelectionSink>(
-    node: &Node,
-    table: &Table,
-    domain: ScanDomain,
-    sink: &mut S,
-    stats: &mut ScanStats,
-) -> Result<()> {
-    match node {
-        Node::All => {
-            stats.visit(domain.len());
-            scan_all(domain, sink);
-            Ok(())
-        }
-        Node::Nothing => Ok(()),
-        Node::CmpI64 { col, op, bound } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_cmp_i64(i64_cells(c), c.validity_ref(), domain, *op, *bound, sink);
-            Ok(())
-        }
-        Node::CmpI64F { col, op, bound } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_cmp_i64_f64(i64_cells(c), c.validity_ref(), domain, *op, *bound, sink)
-                .map_err(|_| mismatch_error(table, *col, "Float64"))
-        }
-        Node::CmpF64 { col, op, bound } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_cmp_f64(f64_cells(c), c.validity_ref(), domain, *op, *bound, sink)
-                .map_err(|_| mismatch_error(table, *col, "Float64"))
-        }
-        Node::CmpBool { col, op, bound } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_cmp_bool(bool_cells(c), c.validity_ref(), domain, *op, *bound, sink);
-            Ok(())
-        }
-        Node::CmpStr { col, op, bound } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            match c.dict_parts() {
-                Some((codes, dict)) => scan_dict(
-                    codes,
-                    c.validity_ref(),
-                    domain,
-                    DictPred::compare(dict, *op, bound),
-                    sink,
-                ),
-                None => scan_cmp_str(utf8_cells(c), c.validity_ref(), domain, *op, bound, sink),
-            }
-            Ok(())
-        }
-        Node::RangeI64 { col, low, high } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_range_i64(i64_cells(c), c.validity_ref(), domain, *low, *high, sink)
-                .map_err(|_| mismatch_error(table, *col, "Float64"))
-        }
-        Node::RangeF64 { col, low, high } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_range_f64(f64_cells(c), c.validity_ref(), domain, *low, *high, sink)
-                .map_err(|_| mismatch_error(table, *col, "Float64"))
-        }
-        Node::RangeStr { col, low, high } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            match c.dict_parts() {
-                Some((codes, dict)) => scan_dict(
-                    codes,
-                    c.validity_ref(),
-                    domain,
-                    DictPred::range(dict, low, high),
-                    sink,
-                ),
-                None => scan_range_str(utf8_cells(c), c.validity_ref(), domain, low, high, sink),
-            }
-            Ok(())
-        }
-        Node::RangeBool { col, low, high } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_range_bool(bool_cells(c), c.validity_ref(), domain, *low, *high, sink);
-            Ok(())
-        }
-        Node::IsNull { col } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_is_null(c.validity_ref(), domain, sink);
-            Ok(())
-        }
-        Node::IsNotNull { col } => {
-            stats.visit(domain.len());
-            let c = column_at(table, *col);
-            scan_is_not_null(c.validity_ref(), domain, sink);
-            Ok(())
-        }
-        Node::ErrOnValid { col, found } => {
-            // the oracle scans the full column and errors on the first
-            // non-NULL row, regardless of the candidate list
-            let c = column_at(table, *col);
-            stats.visit(c.len());
-            if any_valid(c.validity_ref(), ScanDomain::Full(c.len())) {
-                Err(mismatch_error(table, *col, found))
-            } else {
-                Ok(())
-            }
-        }
-        Node::And(_) | Node::Or(_) | Node::Not(_) => {
-            // analyzer:allow(panic_path, reason = "eval_node/run_terminal dispatch composites before reaching this leaf-only kernel table; hitting this arm is a dispatch bug")
-            unreachable!("composite nodes are handled by eval_node/run_terminal")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::{compute_aggregate, AggregateKind};
+    use crate::kernels::WeightedMomentSink;
     use crate::schema::{Field, Schema};
+    use sciborq_stats::WeightedMomentSketch;
 
     fn test_table() -> Table {
         let schema = Schema::shared(vec![
@@ -1737,6 +1278,27 @@ mod tests {
         }
     }
 
+    /// Stream `c`'s matches over `t` into a weighted sink through a one-item
+    /// [`multi_scan`] — the one road weighted sinks take to the kernels.
+    fn weighted_scan(
+        c: &CompiledPredicate,
+        t: &Table,
+        column: Option<&str>,
+        probabilities: &[f64],
+        parts: Option<&Partitioning>,
+    ) -> Result<(WeightedMomentSketch, ScanStats)> {
+        let mut sink = match column {
+            None => WeightedMomentSink::counting(probabilities),
+            Some(name) => WeightedMomentSink::new(numeric_source(t, name)?, probabilities),
+        };
+        let mut items = [MultiScanItem {
+            predicate: c,
+            sink: &mut sink,
+        }];
+        let stats = multi_scan(t, &mut items, parts).remove(0)?;
+        Ok((sink.sketch, stats))
+    }
+
     #[test]
     fn weighted_kernels_match_selection_walk_bitwise() {
         let t = test_table();
@@ -1754,38 +1316,34 @@ mod tests {
         for p in predicates {
             let c = compiled(&p, &t);
             let sel = p.evaluate(&t).unwrap();
-            let (count_sketch, _) = c.count_weighted(&t, &probabilities).unwrap();
+            let (count_sketch, _) = weighted_scan(&c, &t, None, &probabilities, None).unwrap();
             assert_sketch_bits(
                 &count_sketch,
                 &weighted_oracle(&t, None, &sel, &probabilities),
-                &format!("count_weighted for {p}"),
+                &format!("weighted count for {p}"),
             );
-            let (agg_sketch, _) = c
-                .filter_weighted_moments(&t, "r_mag", &probabilities)
-                .unwrap();
+            let (agg_sketch, _) =
+                weighted_scan(&c, &t, Some("r_mag"), &probabilities, None).unwrap();
             assert_sketch_bits(
                 &agg_sketch,
                 &weighted_oracle(&t, Some("r_mag"), &sel, &probabilities),
-                &format!("filter_weighted_moments for {p}"),
+                &format!("weighted moments for {p}"),
             );
             for shards in [1usize, 2, 3, 7] {
                 let parts = Partitioning::even(t.row_count(), shards);
-                let (sharded, stats) = c
-                    .count_weighted_partitioned(&t, &probabilities, &parts)
-                    .unwrap();
-                assert_eq!(stats.len(), parts.shard_count());
+                let (sharded, _) =
+                    weighted_scan(&c, &t, None, &probabilities, Some(&parts)).unwrap();
                 assert_sketch_bits(
                     &sharded,
                     &count_sketch,
-                    &format!("sharded count_weighted for {p} at {shards}"),
+                    &format!("sharded weighted count for {p} at {shards}"),
                 );
-                let (sharded, _) = c
-                    .filter_weighted_moments_partitioned(&t, "r_mag", &probabilities, &parts)
-                    .unwrap();
+                let (sharded, _) =
+                    weighted_scan(&c, &t, Some("r_mag"), &probabilities, Some(&parts)).unwrap();
                 assert_sketch_bits(
                     &sharded,
                     &agg_sketch,
-                    &format!("sharded filter_weighted_moments for {p} at {shards}"),
+                    &format!("sharded weighted moments for {p} at {shards}"),
                 );
             }
         }
@@ -1795,20 +1353,18 @@ mod tests {
     fn weighted_kernels_validate_inputs() {
         let t = test_table();
         let c = compiled(&Predicate::True, &t);
-        let short = vec![0.1; t.row_count() - 1];
-        assert!(matches!(
-            c.count_weighted(&t, &short),
-            Err(ColumnarError::LengthMismatch { .. })
-        ));
         let probs = vec![0.1; t.row_count()];
+        // weighted moments need a numeric aggregation column …
         assert!(matches!(
-            c.filter_weighted_moments(&t, "class", &probs),
+            weighted_scan(&c, &t, Some("class"), &probs, None),
             Err(ColumnarError::NotNumeric(_))
         ));
-        let parts = Partitioning::even(t.row_count(), 2);
-        assert!(c
-            .filter_weighted_moments_partitioned(&t, "r_mag", &short, &parts)
-            .is_err());
+        // … and a partitioning that covers the scanned table
+        let bad = Partitioning::even(t.row_count() + 1, 2);
+        assert!(matches!(
+            weighted_scan(&c, &t, Some("r_mag"), &probs, Some(&bad)),
+            Err(ColumnarError::LengthMismatch { .. })
+        ));
     }
 
     #[test]
@@ -1826,9 +1382,13 @@ mod tests {
 
         let (serial_count, serial_count_stats) = c_range.count_matches(&t).unwrap();
         let (serial_moments, serial_moment_stats) = c_conj.filter_moments(&t, "r_mag").unwrap();
-        let (serial_weighted, serial_weighted_stats) = c_disj
-            .filter_weighted_moments(&t, "r_mag", &probabilities)
-            .unwrap();
+        let (_, serial_disj_stats) = c_disj.count_matches(&t).unwrap();
+        let serial_weighted = weighted_oracle(
+            &t,
+            Some("r_mag"),
+            &p_disj.evaluate(&t).unwrap(),
+            &probabilities,
+        );
 
         for parts in [
             None,
@@ -1860,7 +1420,7 @@ mod tests {
             assert_eq!(stats[0], serial_count_stats);
             assert_eq!(moments.sketch, serial_moments);
             assert_eq!(stats[1], serial_moment_stats);
-            assert_eq!(stats[2], serial_weighted_stats);
+            assert_eq!(stats[2], serial_disj_stats);
             assert_sketch_bits(
                 &weighted.sketch,
                 &serial_weighted,

@@ -8,10 +8,11 @@
 //! by reference — the two per-row costs that dominate the scalar
 //! `Predicate::evaluate` oracle.
 //!
-//! Every kernel scans a [`ScanDomain`]: either the full column (`0..len`) or
-//! a candidate list produced by an earlier predicate of the same conjunction
-//! (MonetDB-style candidate-list refinement). Matching row ids are emitted
-//! into a [`SelectionSink`], which is where the *fused* execution comes from:
+//! Every kernel refines a [`MatchMask`] — one `u64` of candidate bits per
+//! 64-row chunk, word-aligned with the validity bitmaps — over a
+//! [`ScanDomain`]: the whole column, or one contiguous shard or batch of it.
+//! The surviving rows are emitted into a [`SelectionSink`], which is where
+//! the *fused* execution comes from:
 //!
 //! * `Vec<usize>` materialises a selection vector (the classic path),
 //! * [`CountSink`] just counts matches (fused COUNT),
@@ -56,35 +57,38 @@ use crate::column::Bitmap;
 use crate::expr::CompareOp;
 use sciborq_stats::WeightedMomentSketch;
 
-/// Which rows a kernel visits: the whole column, a contiguous row range (one
-/// shard of a [`crate::Partitioning`]), or a sorted candidate list produced
-/// by an earlier predicate of the same conjunction.
+/// Which rows a scan covers: the whole column, or a contiguous row range
+/// (one shard of a [`crate::Partitioning`], or one batch of a shared
+/// multi-query sweep).
 #[derive(Debug, Clone, Copy)]
-pub enum ScanDomain<'a> {
+pub enum ScanDomain {
     /// Scan rows `0..len`.
     Full(usize),
-    /// Scan the contiguous rows `start..end` (absolute positions). This is
-    /// the per-shard domain of the partitioned scan path: row ids emitted
-    /// from a range are absolute, so per-shard results concatenate without
-    /// rebasing.
+    /// Scan the contiguous rows `start..end` (absolute positions). Row ids
+    /// emitted from a range are absolute, so per-shard results concatenate
+    /// without rebasing.
     Range {
         /// First row (inclusive).
         start: usize,
         /// One past the last row.
         end: usize,
     },
-    /// Scan exactly these (sorted, unique) row positions.
-    Candidates(&'a [usize]),
 }
 
-impl ScanDomain<'_> {
-    /// Number of rows the kernel will visit.
-    pub fn len(&self) -> usize {
-        match self {
-            ScanDomain::Full(len) => *len,
-            ScanDomain::Range { start, end } => end.saturating_sub(*start),
-            ScanDomain::Candidates(rows) => rows.len(),
+impl ScanDomain {
+    /// The covered rows as a half-open `(start, end)` pair; an inverted
+    /// range is empty.
+    pub fn bounds(&self) -> (usize, usize) {
+        match *self {
+            ScanDomain::Full(len) => (0, len),
+            ScanDomain::Range { start, end } => (start, end.max(start)),
         }
+    }
+
+    /// Number of rows the scan covers.
+    pub fn len(&self) -> usize {
+        let (start, end) = self.bounds();
+        end - start
     }
 
     /// True when the domain holds no rows.
@@ -349,215 +353,15 @@ impl SelectionSink for WeightedMomentSink<'_> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct UnorderedComparison;
 
-/// Outcome of a kernel pass that may reject unordered (NaN) comparisons.
-pub type KernelResult = Result<(), UnorderedComparison>;
-
-#[inline]
-fn is_valid(validity: Option<&Bitmap>, row: usize) -> bool {
-    match validity {
-        Some(v) => v.get(row),
-        None => true,
-    }
-}
-
-macro_rules! scan_rows {
-    ($domain:expr, $row:ident, $body:block) => {
-        match $domain {
-            ScanDomain::Full(len) => {
-                for $row in 0..len {
-                    $body
-                }
-            }
-            ScanDomain::Range { start, end } => {
-                for $row in start..end {
-                    $body
-                }
-            }
-            ScanDomain::Candidates(rows) => {
-                for &$row in rows {
-                    $body
-                }
-            }
-        }
-    };
-}
-
-/// Emit every valid (non-NULL) row of the domain — the `TRUE` kernel over a
-/// column, also used for `IS NOT NULL`.
-pub fn scan_is_not_null<S: SelectionSink>(
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    out: &mut S,
-) {
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) {
-            out.accept(row);
-        }
-    });
-}
-
-/// Emit every NULL row of the domain (`IS NULL`).
-pub fn scan_is_null<S: SelectionSink>(validity: Option<&Bitmap>, domain: ScanDomain, out: &mut S) {
-    scan_rows!(domain, row, {
-        if !is_valid(validity, row) {
-            out.accept(row);
-        }
-    });
-}
-
-/// Emit every row of the domain (the unconditional `TRUE` kernel).
-pub fn scan_all<S: SelectionSink>(domain: ScanDomain, out: &mut S) {
-    scan_rows!(domain, row, {
-        out.accept(row);
-    });
-}
-
 /// True when any row of the domain is valid (non-NULL). Used by the
 /// "error on first non-NULL row" nodes that preserve the oracle's lazy
 /// type-mismatch semantics.
 pub fn any_valid(validity: Option<&Bitmap>, domain: ScanDomain) -> bool {
+    let (start, end) = domain.bounds();
     match validity {
-        None => !domain.is_empty(),
-        Some(v) => {
-            let mut found = false;
-            scan_rows!(domain, row, {
-                if v.get(row) {
-                    found = true;
-                    break;
-                }
-            });
-            found
-        }
+        None => start < end,
+        Some(v) => (start..end).any(|row| v.get(row)),
     }
-}
-
-#[inline]
-fn cmp_keep<T: PartialOrd>(op: CompareOp, lhs: T, rhs: T) -> bool {
-    match op {
-        CompareOp::Eq => lhs == rhs,
-        CompareOp::NotEq => lhs != rhs,
-        CompareOp::Lt => lhs < rhs,
-        CompareOp::LtEq => lhs <= rhs,
-        CompareOp::Gt => lhs > rhs,
-        CompareOp::GtEq => lhs >= rhs,
-    }
-}
-
-/// Compare an Int64 column against an `i64` constant (exact 64-bit compare,
-/// no widening).
-pub fn scan_cmp_i64<S: SelectionSink>(
-    values: &[i64],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    op: CompareOp,
-    bound: i64,
-    out: &mut S,
-) {
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) && cmp_keep(op, values[row], bound) {
-            out.accept(row);
-        }
-    });
-}
-
-/// Compare an Int64 column against an `f64` constant: each cell is widened
-/// to `f64`, matching the scalar oracle's mixed-type comparison.
-///
-/// Errors when the constant is NaN (unordered) and any valid row exists.
-pub fn scan_cmp_i64_f64<S: SelectionSink>(
-    values: &[i64],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    op: CompareOp,
-    bound: f64,
-    out: &mut S,
-) -> KernelResult {
-    if bound.is_nan() {
-        return if any_valid(validity, domain) {
-            Err(UnorderedComparison)
-        } else {
-            Ok(())
-        };
-    }
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) && cmp_keep(op, values[row] as f64, bound) {
-            out.accept(row);
-        }
-    });
-    Ok(())
-}
-
-/// Compare a Float64 column against an `f64` constant (integer literals are
-/// widened once at compile time).
-///
-/// A NaN cell is an unordered comparison and therefore an error, exactly as
-/// in the scalar oracle; a NaN constant errors if any valid row exists.
-pub fn scan_cmp_f64<S: SelectionSink>(
-    values: &[f64],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    op: CompareOp,
-    bound: f64,
-    out: &mut S,
-) -> KernelResult {
-    if bound.is_nan() {
-        return if any_valid(validity, domain) {
-            Err(UnorderedComparison)
-        } else {
-            Ok(())
-        };
-    }
-    let mut saw_nan = false;
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) {
-            let v = values[row];
-            if v.is_nan() {
-                saw_nan = true;
-                break;
-            }
-            if cmp_keep(op, v, bound) {
-                out.accept(row);
-            }
-        }
-    });
-    if saw_nan {
-        Err(UnorderedComparison)
-    } else {
-        Ok(())
-    }
-}
-
-/// Compare a Bool column against a boolean constant (`false < true`).
-pub fn scan_cmp_bool<S: SelectionSink>(
-    values: &[bool],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    op: CompareOp,
-    bound: bool,
-    out: &mut S,
-) {
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) && cmp_keep(op, values[row], bound) {
-            out.accept(row);
-        }
-    });
-}
-
-/// Compare a Utf8 column against a string constant **by reference** — no
-/// per-row `String` clone, unlike the historical scalar path.
-pub fn scan_cmp_str<S: SelectionSink>(
-    values: &[String],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    op: CompareOp,
-    bound: &str,
-    out: &mut S,
-) {
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) && cmp_keep(op, values[row].as_str(), bound) {
-            out.accept(row);
-        }
-    });
 }
 
 /// A compiled numeric range bound: comparisons against an Int64 column stay
@@ -604,135 +408,15 @@ impl NumBound {
     }
 }
 
-/// One-pass inclusive range kernel over an Int64 column:
-/// `low <= v && v <= high`, with each bound compared exactly (i64 vs i64)
-/// or widened (i64 vs f64) according to its literal type.
-///
-/// This fixes the historical `Between` double scan: one pass, two compares.
-pub fn scan_range_i64<S: SelectionSink>(
-    values: &[i64],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    low: NumBound,
-    high: NumBound,
-    out: &mut S,
-) -> KernelResult {
-    if low.is_nan() || high.is_nan() {
-        return if any_valid(validity, domain) {
-            Err(UnorderedComparison)
-        } else {
-            Ok(())
-        };
-    }
-    if let (NumBound::I64(lo), NumBound::I64(hi)) = (low, high) {
-        // fast path: pure 64-bit integer range
-        scan_rows!(domain, row, {
-            if is_valid(validity, row) {
-                let v = values[row];
-                if lo <= v && v <= hi {
-                    out.accept(row);
-                }
-            }
-        });
-        return Ok(());
-    }
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) {
-            let v = values[row];
-            if low.le_i64_cell(v) && high.ge_i64_cell(v) {
-                out.accept(row);
-            }
-        }
-    });
-    Ok(())
-}
-
-/// One-pass inclusive range kernel over a Float64 column (bounds widened to
-/// `f64` at compile time). NaN cells are unordered and error, as in the
-/// scalar oracle.
-pub fn scan_range_f64<S: SelectionSink>(
-    values: &[f64],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    low: f64,
-    high: f64,
-    out: &mut S,
-) -> KernelResult {
-    if low.is_nan() || high.is_nan() {
-        return if any_valid(validity, domain) {
-            Err(UnorderedComparison)
-        } else {
-            Ok(())
-        };
-    }
-    let mut saw_nan = false;
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) {
-            let v = values[row];
-            if v.is_nan() {
-                saw_nan = true;
-                break;
-            }
-            if low <= v && v <= high {
-                out.accept(row);
-            }
-        }
-    });
-    if saw_nan {
-        Err(UnorderedComparison)
-    } else {
-        Ok(())
-    }
-}
-
-/// One-pass inclusive range kernel over a Utf8 column (lexicographic, by
-/// reference).
-pub fn scan_range_str<S: SelectionSink>(
-    values: &[String],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    low: &str,
-    high: &str,
-    out: &mut S,
-) {
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) {
-            let v = values[row].as_str();
-            if low <= v && v <= high {
-                out.accept(row);
-            }
-        }
-    });
-}
-
-/// One-pass inclusive range kernel over a Bool column (`false < true`).
-pub fn scan_range_bool<S: SelectionSink>(
-    values: &[bool],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    low: bool,
-    high: bool,
-    out: &mut S,
-) {
-    scan_rows!(domain, row, {
-        if is_valid(validity, row) {
-            let v = values[row];
-            if low <= v && v <= high {
-                out.accept(row);
-            }
-        }
-    });
-}
-
 // ---------------------------------------------------------------------------
 // Chunked bitmask kernels
 // ---------------------------------------------------------------------------
 //
-// The second scan tier: instead of testing the validity bitmap one bit per
-// row and emitting candidates one at a time, these kernels evaluate 64-row
-// chunks with branchless loops that build a `u64` match mask per word, AND
-// it word-at-a-time against the validity bitmap, and refine conjunctions by
-// wordwise intersection. Matches reach the existing `SelectionSink`s through
+// Instead of testing the validity bitmap one bit per row and emitting
+// candidates one at a time, these kernels evaluate 64-row chunks with
+// branchless loops that build a `u64` match mask per word, AND it
+// word-at-a-time against the validity bitmap, and refine conjunctions by
+// wordwise intersection. Matches reach the `SelectionSink`s through
 // [`SelectionSink::accept_word`], which iterates set bits in ascending row
 // order — so the fused-aggregate fold order (and therefore bit-identity with
 // the scalar oracle) is preserved.
@@ -1393,42 +1077,14 @@ pub fn mask_dict(
     }
 }
 
-/// Row-at-a-time scan of a dictionary-encoded Utf8 column — the legacy-tier
-/// counterpart of [`mask_dict`], used by the candidate-list path.
-pub fn scan_dict<S: SelectionSink>(
-    codes: &[u32],
-    validity: Option<&Bitmap>,
-    domain: ScanDomain,
-    pred: DictPred,
-    out: &mut S,
-) {
-    match pred {
-        DictPred::None => {}
-        DictPred::AnyValid => scan_is_not_null(validity, domain, out),
-        DictPred::CodeRange { lo, hi } => {
-            scan_rows!(domain, row, {
-                if is_valid(validity, row) {
-                    let c = codes[row];
-                    if lo <= c && c < hi {
-                        out.accept(row);
-                    }
-                }
-            });
-        }
-        DictPred::CodeNotEq(k) => {
-            scan_rows!(domain, row, {
-                if is_valid(validity, row) && codes[row] != k {
-                    out.accept(row);
-                }
-            });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::aggregate::AggregateKind;
+    use crate::expr::Predicate;
+    use crate::schema::{Field, Schema};
+    use crate::table::Table;
+    use crate::value::{DataType, Value};
 
     fn bitmap(bits: &[bool]) -> Bitmap {
         let mut bm = Bitmap::new();
@@ -1438,41 +1094,47 @@ mod tests {
         bm
     }
 
+    /// The scalar oracle for one column: `Predicate::evaluate` of
+    /// `c <op> bound` over a single-column table holding `cells`.
+    fn oracle_rows(
+        data_type: DataType,
+        cells: Vec<Value>,
+        op: CompareOp,
+        bound: Value,
+    ) -> Vec<usize> {
+        let schema = Schema::shared(vec![Field::nullable("c", data_type)]).unwrap();
+        let mut table = Table::new("t", schema);
+        for cell in cells {
+            table.append_row(&[cell]).unwrap();
+        }
+        let predicate = Predicate::Compare {
+            column: "c".to_owned(),
+            op,
+            value: bound,
+        };
+        predicate.evaluate(&table).unwrap().rows().to_vec()
+    }
+
     #[test]
     fn domain_len() {
         assert_eq!(ScanDomain::Full(5).len(), 5);
         assert!(ScanDomain::Full(0).is_empty());
-        let rows = [1usize, 3];
-        assert_eq!(ScanDomain::Candidates(&rows).len(), 2);
         assert_eq!(ScanDomain::Range { start: 2, end: 7 }.len(), 5);
         assert!(ScanDomain::Range { start: 3, end: 3 }.is_empty());
+        assert!(ScanDomain::Range { start: 4, end: 1 }.is_empty());
     }
 
     #[test]
     fn range_domain_scans_absolute_positions() {
         let values = [5i64, -2, 9, 0, 7];
-        let mut out = Vec::new();
-        scan_cmp_i64(
-            &values,
-            None,
-            ScanDomain::Range { start: 1, end: 4 },
-            CompareOp::GtEq,
-            0,
-            &mut out,
-        );
+        let mut mask = MatchMask::coverage(1, 4);
+        mask_cmp_i64(&values, None, CompareOp::GtEq, 0, &mut mask);
         // rows 2 and 3 qualify within the range; row ids stay absolute
-        assert_eq!(out, vec![2, 3]);
+        assert_eq!(mask.to_rows(), vec![2, 3]);
         let validity = bitmap(&[true, true, false, true, true]);
-        let mut out = Vec::new();
-        scan_cmp_i64(
-            &values,
-            Some(&validity),
-            ScanDomain::Range { start: 1, end: 4 },
-            CompareOp::GtEq,
-            0,
-            &mut out,
-        );
-        assert_eq!(out, vec![3]);
+        let mut mask = MatchMask::coverage(1, 4);
+        mask_cmp_i64(&values, Some(&validity), CompareOp::GtEq, 0, &mut mask);
+        assert_eq!(mask.to_rows(), vec![3]);
         assert!(!any_valid(
             Some(&validity),
             ScanDomain::Range { start: 2, end: 3 }
@@ -1483,148 +1145,108 @@ mod tests {
     #[test]
     fn cmp_i64_full_and_candidates() {
         let values = [5i64, -2, 9, 0, 7];
-        let mut out = Vec::new();
-        scan_cmp_i64(
-            &values,
-            None,
-            ScanDomain::Full(5),
-            CompareOp::Gt,
-            0,
-            &mut out,
-        );
-        assert_eq!(out, vec![0, 2, 4]);
-        let candidates = [2usize, 3, 4];
-        let mut out = Vec::new();
-        scan_cmp_i64(
-            &values,
-            None,
-            ScanDomain::Candidates(&candidates),
-            CompareOp::Gt,
-            0,
-            &mut out,
-        );
-        assert_eq!(out, vec![2, 4]);
+        let mut mask = MatchMask::coverage(0, 5);
+        let scan = mask_cmp_i64(&values, None, CompareOp::Gt, 0, &mut mask);
+        assert_eq!(mask.to_rows(), vec![0, 2, 4]);
+        assert_eq!((scan.visited, scan.remaining), (5, 3));
+        // refining a candidate mask tests only the surviving candidates
+        let mut mask = MatchMask::coverage(0, 5);
+        mask_cmp_i64(&values, None, CompareOp::LtEq, 5, &mut mask);
+        assert_eq!(mask.to_rows(), vec![0, 1, 3]);
+        let scan = mask_cmp_i64(&values, None, CompareOp::Gt, 0, &mut mask);
+        assert_eq!(mask.to_rows(), vec![0]);
+        assert_eq!((scan.visited, scan.remaining), (3, 1));
     }
 
     #[test]
     fn cmp_respects_validity() {
         let values = [1i64, 2, 3];
         let validity = bitmap(&[true, false, true]);
-        let mut out = Vec::new();
-        scan_cmp_i64(
-            &values,
-            Some(&validity),
-            ScanDomain::Full(3),
-            CompareOp::GtEq,
-            0,
-            &mut out,
-        );
-        assert_eq!(out, vec![0, 2]);
+        let mut mask = MatchMask::coverage(0, 3);
+        mask_cmp_i64(&values, Some(&validity), CompareOp::GtEq, 0, &mut mask);
+        assert_eq!(mask.to_rows(), vec![0, 2]);
     }
 
     #[test]
     fn exact_i64_comparison_not_widened() {
-        // 2^63 - 1 and 2^63 - 2 collapse to the same f64; the i64 kernel
+        // 2^63 - 1 and 2^63 - 2 collapse to the same f64; the i64 kernels
         // must still tell them apart.
         let values = [i64::MAX, i64::MAX - 1];
-        let mut out = Vec::new();
-        scan_cmp_i64(
-            &values,
-            None,
-            ScanDomain::Full(2),
-            CompareOp::Eq,
-            i64::MAX,
-            &mut out,
-        );
-        assert_eq!(out, vec![0]);
+        let mut mask = MatchMask::coverage(0, 2);
+        mask_cmp_i64(&values, None, CompareOp::Eq, i64::MAX, &mut mask);
+        assert_eq!(mask.to_rows(), vec![0]);
+        let mut mask = MatchMask::coverage(0, 2);
+        let exact = NumBound::I64(i64::MAX - 1);
+        mask_range_i64(&values, None, exact, exact, &mut mask).unwrap();
+        assert_eq!(mask.to_rows(), vec![1]);
     }
 
     #[test]
     fn f64_nan_cell_errors() {
         let values = [1.0, f64::NAN];
-        let mut out = Vec::new();
-        let r = scan_cmp_f64(
-            &values,
-            None,
-            ScanDomain::Full(2),
-            CompareOp::Lt,
-            5.0,
-            &mut out,
-        );
-        assert!(r.is_err());
+        let mut mask = MatchMask::coverage(0, 2);
+        assert!(mask_cmp_f64(&values, None, CompareOp::Lt, 5.0, &mut mask).is_err());
+        let mut mask = MatchMask::coverage(0, 2);
+        assert!(mask_range_f64(&values, None, 0.0, 5.0, &mut mask).is_err());
     }
 
     #[test]
     fn f64_nan_bound_errors_only_with_valid_rows() {
         let values = [1.0];
-        let mut out = Vec::new();
-        assert!(scan_cmp_f64(
-            &values,
-            None,
-            ScanDomain::Full(1),
-            CompareOp::Lt,
-            f64::NAN,
-            &mut out
-        )
-        .is_err());
+        let mut mask = MatchMask::coverage(0, 1);
+        assert!(mask_cmp_f64(&values, None, CompareOp::Lt, f64::NAN, &mut mask).is_err());
         let validity = bitmap(&[false]);
-        let mut out = Vec::new();
-        assert!(scan_cmp_f64(
-            &values,
-            Some(&validity),
-            ScanDomain::Full(1),
-            CompareOp::Lt,
-            f64::NAN,
-            &mut out
-        )
-        .is_ok());
-        assert!(out.is_empty());
+        let mut mask = MatchMask::coverage(0, 1);
+        assert!(mask_cmp_f64(&values, Some(&validity), CompareOp::Lt, f64::NAN, &mut mask).is_ok());
+        assert!(mask.is_empty());
+        // the same contract for NaN range bounds and Int64-vs-NaN compares
+        let ints = [3i64];
+        let mut mask = MatchMask::coverage(0, 1);
+        let nan = NumBound::F64(f64::NAN);
+        assert!(mask_range_i64(&ints, None, nan, NumBound::I64(5), &mut mask).is_err());
+        let mut mask = MatchMask::coverage(0, 1);
+        assert!(
+            mask_cmp_i64_f64(&ints, Some(&validity), CompareOp::Eq, f64::NAN, &mut mask).is_ok()
+        );
+        assert!(mask.is_empty());
     }
 
     #[test]
     fn one_pass_ranges() {
         let ints = [1i64, 5, 10, -3];
-        let mut out = Vec::new();
-        scan_range_i64(
-            &ints,
-            None,
-            ScanDomain::Full(4),
-            NumBound::I64(0),
-            NumBound::I64(5),
-            &mut out,
-        )
-        .unwrap();
-        assert_eq!(out, vec![0, 1]);
+        let mut mask = MatchMask::coverage(0, 4);
+        mask_range_i64(&ints, None, NumBound::I64(0), NumBound::I64(5), &mut mask).unwrap();
+        assert_eq!(mask.to_rows(), vec![0, 1]);
 
         let floats = [0.5, 2.5, 7.0];
-        let mut out = Vec::new();
-        scan_range_f64(&floats, None, ScanDomain::Full(3), 1.0, 3.0, &mut out).unwrap();
-        assert_eq!(out, vec![1]);
+        let mut mask = MatchMask::coverage(0, 3);
+        mask_range_f64(&floats, None, 1.0, 3.0, &mut mask).unwrap();
+        assert_eq!(mask.to_rows(), vec![1]);
 
         let strings: Vec<String> = ["ant", "bee", "cow"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let mut out = Vec::new();
-        scan_range_str(&strings, None, ScanDomain::Full(3), "b", "c", &mut out);
-        assert_eq!(out, vec![1]);
+        let mut mask = MatchMask::coverage(0, 3);
+        mask_range_str(&strings, None, "b", "c", &mut mask);
+        assert_eq!(mask.to_rows(), vec![1]);
     }
 
     #[test]
     fn mixed_bound_range_keeps_i64_exact() {
-        let values = [i64::MAX, 10];
-        let mut out = Vec::new();
-        // low is an exact integer bound, high widens: i64::MAX must qualify
-        scan_range_i64(
+        // low is an exact integer bound, high widens: i64::MAX qualifies,
+        // and i64::MAX - 1 (equal to i64::MAX once widened) does not
+        let values = [i64::MAX, i64::MAX - 1, 10];
+        let mut mask = MatchMask::coverage(0, 3);
+        mask_range_i64(
             &values,
             None,
-            ScanDomain::Full(2),
             NumBound::I64(i64::MAX),
             NumBound::F64(f64::INFINITY),
-            &mut out,
+            &mut mask,
         )
         .unwrap();
-        assert_eq!(out, vec![0]);
+        assert_eq!(mask.to_rows(), vec![0]);
     }
 
     #[test]
@@ -1633,45 +1255,32 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let mut out = Vec::new();
-        scan_cmp_str(
-            &values,
-            None,
-            ScanDomain::Full(3),
-            CompareOp::Eq,
-            "GALAXY",
-            &mut out,
-        );
-        assert_eq!(out, vec![0, 2]);
+        let mut mask = MatchMask::coverage(0, 3);
+        mask_cmp_str(&values, None, CompareOp::Eq, "GALAXY", &mut mask);
+        assert_eq!(mask.to_rows(), vec![0, 2]);
     }
 
     #[test]
     fn null_kernels() {
         let validity = bitmap(&[true, false, true, false]);
-        let mut nulls = Vec::new();
-        scan_is_null(Some(&validity), ScanDomain::Full(4), &mut nulls);
-        assert_eq!(nulls, vec![1, 3]);
-        let mut valid = Vec::new();
-        scan_is_not_null(Some(&validity), ScanDomain::Full(4), &mut valid);
-        assert_eq!(valid, vec![0, 2]);
-        let mut all = Vec::new();
-        scan_is_not_null(None, ScanDomain::Full(3), &mut all);
-        assert_eq!(all, vec![0, 1, 2]);
+        let mut nulls = MatchMask::coverage(0, 4);
+        mask_is_null(Some(&validity), &mut nulls);
+        assert_eq!(nulls.to_rows(), vec![1, 3]);
+        let mut valid = MatchMask::coverage(0, 4);
+        mask_is_not_null(Some(&validity), &mut valid);
+        assert_eq!(valid.to_rows(), vec![0, 2]);
+        let mut all = MatchMask::coverage(0, 3);
+        mask_is_not_null(None, &mut all);
+        assert_eq!(all.to_rows(), vec![0, 1, 2]);
     }
 
     #[test]
     fn count_sink_counts() {
         let values = [1.0, 2.0, 3.0];
+        let mut mask = MatchMask::coverage(0, 3);
+        mask_cmp_f64(&values, None, CompareOp::Gt, 1.5, &mut mask).unwrap();
         let mut sink = CountSink::default();
-        scan_cmp_f64(
-            &values,
-            None,
-            ScanDomain::Full(3),
-            CompareOp::Gt,
-            1.5,
-            &mut sink,
-        )
-        .unwrap();
+        mask.emit(&mut sink);
         assert_eq!(sink.0, 2);
     }
 
@@ -1712,14 +1321,9 @@ mod tests {
         let validity = bitmap(&[true, false, true]);
         let mut sink = MomentSink::new(AggSource::F64(&agg, Some(&validity)));
         let pred_values = [1i64, 1, 1];
-        scan_cmp_i64(
-            &pred_values,
-            None,
-            ScanDomain::Full(3),
-            CompareOp::Eq,
-            1,
-            &mut sink,
-        );
+        let mut mask = MatchMask::coverage(0, 3);
+        mask_cmp_i64(&pred_values, None, CompareOp::Eq, 1, &mut mask);
+        mask.emit(&mut sink);
         assert_eq!(sink.sketch.matched, 3);
         assert_eq!(sink.sketch.count, 2);
         assert_eq!(sink.sketch.sum, 40.0);
@@ -1730,8 +1334,9 @@ mod tests {
         let validity = bitmap(&[false, false, true]);
         assert!(any_valid(Some(&validity), ScanDomain::Full(3)));
         assert!(!any_valid(Some(&validity), ScanDomain::Full(2)));
-        let c = [0usize, 1];
-        assert!(!any_valid(Some(&validity), ScanDomain::Candidates(&c)));
+        // the candidate-mask counterpart only looks at candidate rows
+        assert!(!mask_any_valid(Some(&validity), &MatchMask::coverage(0, 2)));
+        assert!(mask_any_valid(Some(&validity), &MatchMask::coverage(1, 3)));
         assert!(any_valid(None, ScanDomain::Full(1)));
         assert!(!any_valid(None, ScanDomain::Full(0)));
     }
@@ -1761,13 +1366,19 @@ mod tests {
         assert_eq!(count.0, 64);
     }
 
-    /// The chunked kernels must agree with the row-at-a-time kernels on an
-    /// unaligned range with scattered NULLs.
+    /// The chunked kernel must agree with the scalar oracle on an unaligned
+    /// range with scattered NULLs.
     #[test]
-    fn mask_cmp_i64_matches_rowwise() {
+    fn mask_cmp_i64_matches_scalar_oracle() {
         let n = 131usize;
         let values: Vec<i64> = (0..n as i64).map(|i| (i * 7) % 23).collect();
-        let validity = bitmap(&(0..n).map(|i| i % 5 != 0).collect::<Vec<_>>());
+        let valid: Vec<bool> = (0..n).map(|i| i % 5 != 0).collect();
+        let validity = bitmap(&valid);
+        let cells: Vec<Value> = values
+            .iter()
+            .zip(&valid)
+            .map(|(&v, &ok)| if ok { Value::Int64(v) } else { Value::Null })
+            .collect();
         for op in [
             CompareOp::Eq,
             CompareOp::NotEq,
@@ -1778,15 +1389,11 @@ mod tests {
         ] {
             let mut mask = MatchMask::coverage(3, 130);
             let scan = mask_cmp_i64(&values, Some(&validity), op, 11, &mut mask);
-            let mut expect = Vec::new();
-            scan_cmp_i64(
-                &values,
-                Some(&validity),
-                ScanDomain::Range { start: 3, end: 130 },
-                op,
-                11,
-                &mut expect,
-            );
+            let expect: Vec<usize> =
+                oracle_rows(DataType::Int64, cells.clone(), op, Value::Int64(11))
+                    .into_iter()
+                    .filter(|row| (3..130).contains(row))
+                    .collect();
             assert_eq!(mask.to_rows(), expect, "op {op:?}");
             assert_eq!(scan.visited, 127);
             assert_eq!(scan.remaining, expect.len());
@@ -1920,8 +1527,20 @@ mod tests {
             .collect();
         let n = 67usize;
         let codes: Vec<u32> = (0..n).map(|i| (i % 3) as u32).collect();
-        let strings: Vec<String> = codes.iter().map(|&c| dict[c as usize].clone()).collect();
-        let validity = bitmap(&(0..n).map(|i| i % 7 != 0).collect::<Vec<_>>());
+        let valid: Vec<bool> = (0..n).map(|i| i % 7 != 0).collect();
+        let validity = bitmap(&valid);
+        // the decoded strings, scanned by the scalar oracle
+        let cells: Vec<Value> = codes
+            .iter()
+            .zip(&valid)
+            .map(|(&c, &ok)| {
+                if ok {
+                    Value::Utf8(dict[c as usize].clone())
+                } else {
+                    Value::Null
+                }
+            })
+            .collect();
         for (op, bound) in [
             (CompareOp::Eq, "QSO"),
             (CompareOp::NotEq, "QSO"),
@@ -1931,26 +1550,8 @@ mod tests {
             let pred = DictPred::compare(&dict, op, bound);
             let mut mask = MatchMask::coverage(0, n);
             mask_dict(&codes, Some(&validity), pred, &mut mask);
-            let mut expect = Vec::new();
-            scan_cmp_str(
-                &strings,
-                Some(&validity),
-                ScanDomain::Full(n),
-                op,
-                bound,
-                &mut expect,
-            );
+            let expect = oracle_rows(DataType::Utf8, cells.clone(), op, Value::Utf8(bound.into()));
             assert_eq!(mask.to_rows(), expect, "op {op:?} bound {bound}");
-            // and the row-at-a-time dict kernel agrees too
-            let mut rowwise = Vec::new();
-            scan_dict(
-                &codes,
-                Some(&validity),
-                ScanDomain::Full(n),
-                pred,
-                &mut rowwise,
-            );
-            assert_eq!(rowwise, expect, "rowwise op {op:?} bound {bound}");
         }
     }
 }

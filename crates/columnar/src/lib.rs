@@ -10,8 +10,8 @@
 //! * typed columns with null bitmaps ([`Column`]),
 //! * schemas and append-only tables with batch-wise incremental loads
 //!   ([`Schema`], [`Table`], [`RecordBatch`]),
-//! * candidate-list (selection-vector) execution of predicates
-//!   ([`SelectionVector`], [`Predicate`]),
+//! * scalar, selection-vector evaluation of predicates ([`Predicate`],
+//!   [`SelectionVector`]) — the oracle every fast path is tested against,
 //! * a compile-once vectorized execution pipeline: predicates bound to
 //!   column indices with constants pre-widened ([`CompiledPredicate`]),
 //!   running typed tight-loop kernels over the raw column vectors
@@ -25,14 +25,14 @@
 //!   ([`Column::Utf8Dict`]) whose string predicates collapse into integer
 //!   code ranges ([`DictPred`]),
 //! * a sharded parallel scan path: contiguous row-range partitionings
-//!   ([`Partitioning`]) fanned out over `std::thread::scope` workers, with
+//!   ([`Partitioning`]) fanned out by one scoped-thread helper, with
 //!   per-shard results merged in fixed shard order so sharded execution is
-//!   bit-identical to the single-threaded kernels
-//!   ([`CompiledPredicate::filter_moments_partitioned`]),
+//!   bit-identical to the single-threaded kernels,
 //! * a shared multi-query scan that evaluates N compiled predicates per row
 //!   batch and routes matches into N independent sinks ([`multi_scan`]) —
-//!   the serving layer's one-sweep-many-queries path, with the same
-//!   bit-identity guarantee per query,
+//!   the aggregate engine's one scan entry point (a single query is a batch
+//!   of one), serial or sharded, with the same bit-identity guarantee per
+//!   query,
 //! * exact aggregates and grouped aggregates ([`compute_aggregate`]),
 //! * FK hash joins between fact and dimension tables ([`hash_join_index`]),
 //! * a concurrent catalog of named tables ([`Catalog`]).

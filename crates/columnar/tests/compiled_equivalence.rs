@@ -407,9 +407,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(300))]
 
     /// Adversarial validity × word-boundary lengths, through every
-    /// execution tier: the scalar oracle, the serial chunked evaluator,
-    /// the retained rowwise tier and the sharded partitioned path — first
-    /// on plain string columns, then with dictionary encoding forced.
+    /// execution path: the scalar oracle, the serial chunked evaluator and
+    /// the sharded partitioned path — first on plain string columns, then
+    /// with dictionary encoding forced.
     #[test]
     fn adversarial_validity_and_lengths_match_oracle(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xad7e);
@@ -440,11 +440,11 @@ proptest! {
         }
     }
 
-    /// The retained rowwise tier (the PR 2 kernels, kept as the benchmark
-    /// baseline) must stay bit-identical to the chunked default on the
-    /// same adversarial tables.
+    /// Dictionary encoding at random: on the same adversarial tables, the
+    /// chunked tier over plain or encoded strings must match the scalar
+    /// oracle (selection, fused count and every fused aggregate).
     #[test]
-    fn rowwise_tier_matches_chunked(seed in 0u64..u64::MAX) {
+    fn chunked_tier_matches_scalar_oracle(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x70_77);
         let regime = NullRegime::pick(&mut rng);
         let rows = boundary_rows(&mut rng);
@@ -453,18 +453,7 @@ proptest! {
             table.dict_encode_strings(usize::MAX);
         }
         let predicate = random_predicate(&mut rng, 2);
-        let compiled = CompiledPredicate::compile(&predicate, table.schema())
-            .expect("all generated columns exist");
-        match (compiled.evaluate(&table), compiled.evaluate_rowwise(&table)) {
-            (Ok(chunked), Ok((rowwise, _))) => {
-                assert_eq!(chunked, rowwise, "rowwise selection for {predicate}");
-                let (chunked_count, _) = compiled.count_matches(&table).expect("count");
-                let (rowwise_count, _) = compiled.count_matches_rowwise(&table).expect("count");
-                assert_eq!(chunked_count, rowwise_count, "rowwise count for {predicate}");
-            }
-            (Err(_), Err(_)) => {}
-            (c, r) => panic!("rowwise error divergence for {predicate}: chunked {c:?} vs {r:?}"),
-        }
+        check_equivalence(&table, &predicate);
     }
 }
 

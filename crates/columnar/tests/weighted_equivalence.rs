@@ -1,23 +1,22 @@
 //! Property-based equivalence suite for the streamed weighted
-//! (Hansen–Hurwitz) estimation path: the fused weighted kernels
-//! (`CompiledPredicate::{count_weighted, filter_weighted_moments}` and their
-//! `_partitioned` variants) must agree with the selection-based oracle — the
-//! scalar `Predicate::evaluate` followed by a walk over the selected rows
-//! that materialises `WeightedObservation`s for the slice-based
-//! `WeightedEstimator`.
+//! (Hansen–Hurwitz) estimation path: `WeightedMomentSink`s driven through
+//! `multi_scan` — serially and sharded, the road the engine takes — must
+//! agree with the selection-based oracle: the scalar `Predicate::evaluate`
+//! followed by a walk over the selected rows that materialises
+//! `WeightedObservation`s for the slice-based `WeightedEstimator`.
 //!
 //! Both paths fold the same expansions (`v/p`, `(v/p)²`, `1/p`, …) in the
 //! same row order, so the comparison is **bit-identical** — sketch
 //! accumulators and finished estimates alike — and stays bit-identical
-//! across shard counts 1/2/3/7 because the partitioned kernels replay
-//! matched rows in global row order.
+//! across shard counts 1/2/3/7 because the sharded sweep replays matched
+//! rows in global row order.
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sciborq_columnar::{
-    CompareOp, CompiledPredicate, DataType, Field, Partitioning, Predicate, Schema, Table, Value,
-    WeightedMomentSketch,
+    multi_scan, numeric_source, CompareOp, CompiledPredicate, DataType, Field, MultiScanItem,
+    Partitioning, Predicate, Schema, Table, Value, WeightedMomentSink, WeightedMomentSketch,
 };
 use sciborq_stats::{WeightedEstimator, WeightedObservation};
 
@@ -183,14 +182,36 @@ fn oracle_sketch(
     sketch
 }
 
+/// The streamed side: a weighted sink (counting when `column` is `None`)
+/// driven through `multi_scan` — serially when `parts` is `None`, sharded
+/// otherwise.
+fn streamed_sketch(
+    compiled: &CompiledPredicate,
+    table: &Table,
+    column: Option<&str>,
+    probabilities: &[f64],
+    parts: Option<&Partitioning>,
+) -> sciborq_columnar::Result<WeightedMomentSketch> {
+    let mut sink = match column {
+        None => WeightedMomentSink::counting(probabilities),
+        Some(name) => WeightedMomentSink::new(numeric_source(table, name)?, probabilities),
+    };
+    let mut items = [MultiScanItem {
+        predicate: compiled,
+        sink: &mut sink,
+    }];
+    multi_scan(table, &mut items, parts).remove(0)?;
+    Ok(sink.sketch)
+}
+
 /// Core property: streamed weighted sketches and estimates equal the
 /// selection-based oracle bit for bit, serially and at every shard count.
 fn check_weighted_equivalence(table: &Table, predicate: &Predicate, probabilities: &[f64]) {
     let compiled =
         CompiledPredicate::compile(predicate, table.schema()).expect("all generated columns exist");
     let oracle_sel = predicate.evaluate(table);
-    let streamed_count = compiled.count_weighted(table, probabilities);
-    let (sel, (count_sketch, _)) = match (oracle_sel, streamed_count) {
+    let streamed_count = streamed_sketch(&compiled, table, None, probabilities, None);
+    let (sel, count_sketch) = match (oracle_sel, streamed_count) {
         (Ok(sel), Ok(ok)) => (sel, ok),
         (Err(_), Err(_)) => return,
         (s, p) => panic!("error divergence for {predicate}: oracle {s:?} vs streamed {p:?}"),
@@ -227,8 +248,7 @@ fn check_weighted_equivalence(table: &Table, predicate: &Predicate, probabilitie
 
     // --- SUM / AVG over both numeric columns -------------------------------
     for agg_column in ["id", "mag"] {
-        let (agg_sketch, _) = compiled
-            .filter_weighted_moments(table, agg_column, probabilities)
+        let agg_sketch = streamed_sketch(&compiled, table, Some(agg_column), probabilities, None)
             .expect("numeric aggregate column");
         let agg_oracle = oracle_sketch(table, Some(agg_column), &sel, probabilities);
         assert_sketch_bits(
@@ -273,18 +293,21 @@ fn check_weighted_equivalence(table: &Table, predicate: &Predicate, probabilitie
         // --- sharded: bit-identical to serial at every shard count ---------
         for shards in SHARD_COUNTS {
             let parts = Partitioning::even(table.row_count(), shards);
-            let (sharded, stats) = compiled
-                .count_weighted_partitioned(table, probabilities, &parts)
+            let sharded = streamed_sketch(&compiled, table, None, probabilities, Some(&parts))
                 .expect("sharded weighted count");
-            assert_eq!(stats.len(), parts.shard_count());
             assert_sketch_bits(
                 &sharded,
                 &count_sketch,
                 &format!("sharded count for {predicate} at {shards}"),
             );
-            let (sharded, _) = compiled
-                .filter_weighted_moments_partitioned(table, agg_column, probabilities, &parts)
-                .expect("sharded weighted moments");
+            let sharded = streamed_sketch(
+                &compiled,
+                table,
+                Some(agg_column),
+                probabilities,
+                Some(&parts),
+            )
+            .expect("sharded weighted moments");
             assert_sketch_bits(
                 &sharded,
                 &agg_sketch,
@@ -307,8 +330,8 @@ proptest! {
         check_weighted_equivalence(&table, &predicate, &probabilities);
     }
 
-    /// Conjunctions drive the candidate-list refinement path: the terminal
-    /// conjunct streams straight into the weighted sink.
+    /// Conjunctions drive wordwise mask refinement: only the rows that
+    /// survive every conjunct stream into the weighted sink.
     #[test]
     fn weighted_conjunction_refinement_matches_oracle(seed in 0u64..u64::MAX) {
         let mut rng = StdRng::seed_from_u64(seed ^ 0xb1a5ed);

@@ -1,34 +1,52 @@
-//! Shared-scan batch execution of aggregate queries.
+//! Bounded aggregate execution: the escalation loop (§3.2).
 //!
-//! A serving front end often holds several concurrent bounded queries over
-//! the *same* impression hierarchy. Answering them one by one re-scans the
-//! same impression once per query; [`BoundedQueryEngine::execute_aggregate_batch`]
-//! instead drives the whole batch through **one shared scan pass per
-//! escalation level**: queries that agree on their predicate and sink
-//! flavour (see `SinkSpec`) are deduplicated into a single
-//! [`multi_scan`] item whose sketch then feeds every member's estimator.
+//! [`BoundedQueryEngine::execute_aggregate_batch`] answers a batch of
+//! aggregate queries over one impression hierarchy, and a single query
+//! ([`BoundedQueryEngine::execute_aggregate`]) is a batch of one — this is
+//! the one implementation of the bounded aggregate contract. Queries
+//! escalate together from the least to the most detailed admissible
+//! impression and finally into the base data, and every level is **one
+//! shared scan pass**: queries that agree on their predicate and sink
+//! flavour (see `SinkSpec`) are deduplicated into a single [`multi_scan`]
+//! item whose sketch then feeds every member's estimator.
 //!
-//! The batch path is a re-orchestration, not a re-implementation, of serial
-//! escalation: admission (row budgets), the honest wall-clock rule, the
-//! sampled-zero rule, and best-effort finalisation replay
-//! [`BoundedQueryEngine::execute_aggregate`] per query, and the estimation
-//! itself goes through the same [`estimate_level`] seam. Given identical
-//! sketches — which the multi-scan kernels guarantee bit-for-bit — batched
-//! answers are bit-identical to serial ones.
+//! Per query the loop applies the contract's rules: a level is admitted by
+//! its row count against the row budget (a level that is too big is
+//! skipped, not taken as proof that later levels are too); the wall clock
+//! is re-checked before every level and *measured* at every return, so an
+//! answer that blew its budget says so; a sampled zero never meets a finite
+//! error bound; and when nothing meets the bound, the best completed level
+//! is returned with measured flags.
+//!
+//! The degradation ladder lives here too, around each pass:
+//!
+//! 1. **Shard rung** — a sharded pass that panics (or an injected
+//!    `scan.shard` fault) is redone serially with freshly built sinks. The
+//!    serial sweep is bit-identical to the sharded one, so this is a
+//!    recovery (a `Recovery` event, `shards == 1`), not a degradation.
+//! 2. **Level rung** — a pass lost as a whole (an `engine.level` fault) is
+//!    skipped by every member: each records a `Degradation` event and keeps
+//!    escalating, and its answer comes from the best level that did
+//!    complete, flagged `degraded` with its bound flags measured on that
+//!    level. A lost base pass leaves members with their best sampled level.
+//! 3. **Query rung** — a member left with no completed level fails typed as
+//!    `Internal { site: "engine.level" }`.
 
 use crate::answer::{ApproximateAnswer, EvaluationLevel, LevelEstimate};
-use crate::engine::{estimate_level, BoundedQueryEngine, LevelSketch, QueryBounds};
+use crate::engine::{BoundedQueryEngine, QueryBounds};
 use crate::error::{Result, SciborqError};
 use crate::execution::QueryExecution;
 use crate::impression::Impression;
 use crate::layer::LayerHierarchy;
 use sciborq_columnar::{
-    multi_scan, numeric_source, AggregateKind, CompiledPredicate, CountSink, MomentSink,
-    MultiScanItem, SelectionSink, Table, WeightedMomentSink,
+    multi_scan, numeric_source, AggregateKind, ColumnarError, CompiledPredicate, CountSink,
+    MomentSink, MomentSketch, MultiScanItem, Partitioning, ScanStats, SelectionSink, Table,
+    WeightedMomentSink, WeightedMomentSketch,
 };
-use sciborq_stats::ConfidenceInterval;
+use sciborq_stats::{ConfidenceInterval, Estimate};
 use sciborq_telemetry::FaultEventKind;
 use sciborq_workload::{Query, QueryKind};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -47,8 +65,31 @@ enum SinkSpec {
     WeightedMoments(String),
 }
 
-/// The per-group accumulator driven by the shared scan — exactly the sinks
-/// the serial fused entry points fold into.
+impl SinkSpec {
+    /// A fresh, empty sink of this flavour over `table`. `probabilities`
+    /// are the impression's cached selection probabilities; weighted specs
+    /// only arise on impressions, which always carry them.
+    fn sink<'a>(
+        &self,
+        table: &'a Table,
+        probabilities: Option<&'a [f64]>,
+    ) -> std::result::Result<GroupSink<'a>, ColumnarError> {
+        let weights = || probabilities.expect("weighted sinks only exist on impressions");
+        Ok(match self {
+            SinkSpec::Count => GroupSink::Count(CountSink::default()),
+            SinkSpec::WeightedCount => GroupSink::Weighted(WeightedMomentSink::counting(weights())),
+            SinkSpec::Moments(column) => {
+                GroupSink::Moments(MomentSink::new(numeric_source(table, column)?))
+            }
+            SinkSpec::WeightedMoments(column) => GroupSink::Weighted(WeightedMomentSink::new(
+                numeric_source(table, column)?,
+                weights(),
+            )),
+        })
+    }
+}
+
+/// The per-group accumulator driven by the shared scan.
 enum GroupSink<'a> {
     Count(CountSink),
     Moments(MomentSink<'a>),
@@ -64,6 +105,17 @@ impl SelectionSink for GroupSink<'_> {
             GroupSink::Weighted(s) => s.accept(row),
         }
     }
+
+    // Dispatch once per 64-row word, not once per row: counting keeps its
+    // popcount and the folding sinks their monomorphised row loops.
+    #[inline]
+    fn accept_word(&mut self, base: usize, word: u64) {
+        match self {
+            GroupSink::Count(s) => s.accept_word(base, word),
+            GroupSink::Moments(s) => s.accept_word(base, word),
+            GroupSink::Weighted(s) => s.accept_word(base, word),
+        }
+    }
 }
 
 impl GroupSink<'_> {
@@ -74,6 +126,19 @@ impl GroupSink<'_> {
             GroupSink::Weighted(s) => LevelSketch::Weighted(s.sketch),
         }
     }
+}
+
+/// The sufficient statistics one escalation level produced for one group —
+/// the seam between scanning and estimation.
+#[derive(Debug, Clone)]
+enum LevelSketch {
+    /// A plain match count (COUNT on a self-weighted impression).
+    Count(usize),
+    /// An unweighted moment sketch of the aggregated column.
+    Moments(MomentSketch),
+    /// A Hansen–Hurwitz weighted sketch (biased impressions; also carries
+    /// weighted COUNTs, where no aggregation column is involved).
+    Weighted(WeightedMomentSketch),
 }
 
 /// One query's in-flight escalation state.
@@ -89,9 +154,13 @@ struct QState<'q> {
     /// Set once the query has its final result (met bound, base data,
     /// or error); later levels skip it.
     done: Option<Result<ApproximateAnswer>>,
-    /// Set when the wall-clock budget was blown with a best effort in hand:
-    /// serial execution breaks out of escalation at that point.
+    /// Set when a level blew the wall-clock budget without meeting the
+    /// error bound: escalation stops there.
     stopped: bool,
+    /// Set when a pass this query took part in was lost to a panic (the
+    /// level rung of the degradation ladder). Always false on the
+    /// fault-free path.
+    degraded: bool,
     start: Instant,
     /// Whether to build a [`sciborq_telemetry::QueryTrace`] at finalisation
     /// (the engine's `collect_traces` knob). Strictly observational.
@@ -102,15 +171,62 @@ struct QState<'q> {
     estimates: Vec<LevelEstimate>,
 }
 
-impl QState<'_> {
+impl<'q> QState<'q> {
+    fn new(query: &'q Query, bounds: &'q QueryBounds, parallelism: usize, tracing: bool) -> Self {
+        let mut st = QState {
+            query,
+            bounds,
+            agg_kind: AggregateKind::Count,
+            agg_column: None,
+            max_error: bounds.max_relative_error.unwrap_or(f64::INFINITY),
+            exec: QueryExecution::with_parallelism(query.predicate.clone(), parallelism),
+            escalations: 0,
+            best: None,
+            done: None,
+            stopped: false,
+            degraded: false,
+            start: Instant::now(),
+            tracing,
+            parallelism,
+            estimates: Vec::new(),
+        };
+        if let Err(err) = bounds.validate() {
+            st.fail(err);
+            return st;
+        }
+        match &query.kind {
+            QueryKind::Aggregate { kind, column } => {
+                st.agg_kind = *kind;
+                st.agg_column = column.clone();
+            }
+            QueryKind::Select => st.fail(SciborqError::InvalidConfig(
+                "execute_aggregate called with a SELECT query; use execute_select".to_owned(),
+            )),
+        }
+        st
+    }
+
+    /// Honest wall-clock check: re-evaluated at every decision point and at
+    /// every return, never assumed.
     fn time_ok(&self) -> bool {
         self.bounds
             .time_budget
             .is_none_or(|budget| self.start.elapsed() <= budget)
     }
 
-    /// The sink this query needs on `impression` (weighted estimators or
-    /// not), or the error serial execution would raise.
+    /// The measured error-bound verdict for an estimate. A sampled zero (no
+    /// matching row in the impression) carries a degenerate [0, 0] interval
+    /// that would read as "zero error"; claiming a certain COUNT/SUM of 0
+    /// from a sample is dishonest for rare predicates, so a finite bound is
+    /// never met by one and the query keeps escalating, down to the base
+    /// data if permitted.
+    fn error_bound_met(&self, value: Option<f64>, interval: Option<&ConfidenceInterval>) -> bool {
+        let sampled_zero = value == Some(0.0) && self.max_error.is_finite();
+        !sampled_zero && interval.is_some_and(|ci| ci.satisfies_error_bound(self.max_error))
+    }
+
+    /// The sink this query needs on an impression (weighted estimators or
+    /// not), or the error its scan would raise.
     fn sink_spec(&self, weighted: bool) -> Result<SinkSpec> {
         match self.agg_kind {
             AggregateKind::Count => Ok(if weighted {
@@ -138,6 +254,66 @@ impl QState<'_> {
         })
     }
 
+    /// Fold a sampled level's sketch through this query's estimator: the
+    /// level becomes the best effort so far, and the query is done once its
+    /// error bound is met.
+    fn book_estimate(
+        &mut self,
+        impression: &Impression,
+        level: EvaluationLevel,
+        sketch: &LevelSketch,
+    ) {
+        let (value, interval) =
+            match estimate_level(impression, self.agg_kind, self.bounds.confidence, sketch) {
+                Ok(estimate) => estimate,
+                Err(err) => return self.fail(err),
+            };
+        let met = self.error_bound_met(value, interval.as_ref());
+        if self.tracing {
+            self.estimates.push(LevelEstimate {
+                level,
+                relative_error: interval.as_ref().map(|ci| ci.relative_half_width()),
+                error_bound_met: met,
+            });
+        }
+        self.best = Some((value, interval, level));
+        if met {
+            self.finalize(value, interval, level, met);
+        } else if !self.time_ok() {
+            // The level blew the clock without meeting the bound: escalating
+            // further would only dig the hole deeper.
+            self.stopped = true;
+        }
+    }
+
+    /// Answer exactly from the base data: exact values, degenerate
+    /// intervals, no estimators involved.
+    fn book_exact(&mut self, sketch: &LevelSketch) {
+        let value = match sketch {
+            LevelSketch::Count(matched) => Some(*matched as f64),
+            LevelSketch::Moments(s) => s.aggregate(self.agg_kind),
+            LevelSketch::Weighted(_) => {
+                unreachable!("base-data groups never use weighted sinks")
+            }
+        };
+        if self.tracing {
+            self.estimates.push(LevelEstimate {
+                level: EvaluationLevel::BaseData,
+                relative_error: Some(0.0),
+                // analyzer:allow(bounds_honesty, reason = "base-data evaluation is exact (relative error identically zero), so any finite error bound is met by construction")
+                error_bound_met: true,
+            });
+        }
+        // exact: the relative error is identically zero, so any error bound
+        // is met
+        self.finalize(
+            value,
+            value.map(ConfidenceInterval::exact),
+            EvaluationLevel::BaseData,
+            true,
+        );
+    }
+
     fn finalize(
         &mut self,
         value: Option<f64>,
@@ -145,15 +321,9 @@ impl QState<'_> {
         level: EvaluationLevel,
         error_bound_met: bool,
     ) {
+        // time_bound_met is measured *after* the winning evaluation: meeting
+        // the error bound does not excuse blowing the clock.
         let time_bound_met = self.time_ok();
-        // Shared scans are not shard-isolated (a panicked batch pass is
-        // caught by the serving scheduler, which replays its members
-        // serially), so these are empty today — the derivation keeps the
-        // batch/serial bit-identity contract explicit rather than assumed.
-        let fault_events = self.exec.take_fault_events();
-        let degraded = fault_events
-            .iter()
-            .any(|e| e.kind == FaultEventKind::Degradation);
         let mut answer = ApproximateAnswer {
             query: self.query.to_string(),
             value,
@@ -165,8 +335,8 @@ impl QState<'_> {
             level_scans: self.exec.take_level_scans(),
             error_bound_met,
             time_bound_met,
-            degraded,
-            fault_events,
+            degraded: self.degraded,
+            fault_events: self.exec.take_fault_events(),
             trace: None,
         };
         if self.tracing {
@@ -188,12 +358,15 @@ struct Group {
     members: Vec<usize>,
 }
 
+/// One group's share of a pass: its sketch and measured work, or the error
+/// every member fails with.
+type GroupScan = std::result::Result<(LevelSketch, ScanStats), ColumnarError>;
+
 impl BoundedQueryEngine {
     /// Answer a batch of aggregate queries over one hierarchy, sharing scan
     /// passes between queries. Results come back in request order; each
-    /// query gets exactly the answer (bit for bit) that
-    /// [`BoundedQueryEngine::execute_aggregate`] would have produced for it
-    /// alone, including typed errors for unsatisfiable bounds.
+    /// query gets exactly the answer (bit for bit) it would get in a batch
+    /// of its own, including typed errors for unsatisfiable bounds.
     pub fn execute_aggregate_batch(
         &self,
         requests: &[(&Query, &QueryBounds)],
@@ -204,39 +377,7 @@ impl BoundedQueryEngine {
         let tracing = self.config().collect_traces;
         let mut states: Vec<QState<'_>> = requests
             .iter()
-            .map(|(query, bounds)| {
-                let mut st = QState {
-                    query,
-                    bounds,
-                    agg_kind: AggregateKind::Count,
-                    agg_column: None,
-                    max_error: bounds.max_relative_error.unwrap_or(f64::INFINITY),
-                    exec: QueryExecution::with_parallelism(query.predicate.clone(), parallelism),
-                    escalations: 0,
-                    best: None,
-                    done: None,
-                    stopped: false,
-                    start: Instant::now(),
-                    tracing,
-                    parallelism,
-                    estimates: Vec::new(),
-                };
-                if let Err(err) = bounds.validate() {
-                    st.fail(err);
-                    return st;
-                }
-                match &query.kind {
-                    QueryKind::Aggregate { kind, column } => {
-                        st.agg_kind = *kind;
-                        st.agg_column = column.clone();
-                    }
-                    QueryKind::Select => st.fail(SciborqError::InvalidConfig(
-                        "execute_aggregate called with a SELECT query; use execute_select"
-                            .to_owned(),
-                    )),
-                }
-                st
-            })
+            .map(|&(query, bounds)| QState::new(query, bounds, parallelism, tracing))
             .collect();
 
         // Escalate the whole batch level by level, sharing each level's scan.
@@ -252,6 +393,9 @@ impl BoundedQueryEngine {
                     // escalating (the order may not be sorted by size).
                     continue;
                 }
+                // Stop escalating once the wall-clock budget is spent — but
+                // always evaluate at least one admissible level, so the
+                // query gets a best effort rather than nothing.
                 if st.best.is_some() && !st.time_ok() {
                     st.stopped = true;
                     continue;
@@ -261,16 +405,15 @@ impl BoundedQueryEngine {
                 }
                 active.push(i);
             }
-            if active.is_empty() {
-                continue;
+            if !active.is_empty() {
+                self.scan_level(
+                    &mut states,
+                    &active,
+                    impression.data(),
+                    Some(impression),
+                    EvaluationLevel::Layer(impression.layer()),
+                );
             }
-            self.scan_level(
-                &mut states,
-                &active,
-                impression.data(),
-                Some(impression),
-                EvaluationLevel::Layer(impression.layer()),
-            );
         }
 
         // Base-data fall-through, still shared: exact answers for everything
@@ -296,22 +439,18 @@ impl BoundedQueryEngine {
             }
         }
 
-        // Best-effort finalisation for whatever is still unresolved —
-        // identical to the serial tail, including the sampled-zero rule.
-        for st in states.iter_mut() {
-            if st.done.is_some() {
-                continue;
-            }
+        // Best-effort finalisation for whatever is still unresolved.
+        for st in states.iter_mut().filter(|st| st.done.is_none()) {
             match st.best.take() {
                 Some((value, interval, level)) => {
-                    let sampled_zero = value == Some(0.0) && st.max_error.is_finite();
-                    let error_bound_met = !sampled_zero
-                        && interval
-                            .as_ref()
-                            .map(|ci| ci.satisfies_error_bound(st.max_error))
-                            .unwrap_or(false);
-                    st.finalize(value, interval, level, error_bound_met);
+                    let met = st.error_bound_met(value, interval.as_ref());
+                    st.finalize(value, interval, level, met);
                 }
+                // Every admissible level was lost to an isolated panic:
+                // there is no honest estimate left to degrade to.
+                None if st.degraded => st.fail(SciborqError::Internal {
+                    site: "engine.level".to_owned(),
+                }),
                 None => st.fail(SciborqError::BoundsUnsatisfiable(format!(
                     "no impression of {} fits a row budget of {:?}",
                     hierarchy.source_table(),
@@ -327,9 +466,10 @@ impl BoundedQueryEngine {
     }
 
     /// Run one shared scan pass over `table` for the `active` queries:
-    /// deduplicate (predicate, sink) pairs into groups, multi-scan once,
-    /// then book accounting and estimates per member. `impression` is
-    /// `None` for the base-data pass (exact evaluation, no estimators).
+    /// deduplicate (predicate, sink) pairs into groups, sweep once under the
+    /// shard and level rungs of the degradation ladder, then book accounting
+    /// and estimates per member. `impression` is `None` for the base-data
+    /// pass (exact evaluation, no estimators).
     fn scan_level(
         &self,
         states: &mut [QState<'_>],
@@ -369,132 +509,72 @@ impl BoundedQueryEngine {
                 }),
             }
         }
+        let Some(first) = groups.first() else {
+            return;
+        };
+        let members: Vec<usize> = groups
+            .iter()
+            .flat_map(|g| g.members.iter().copied())
+            .collect();
 
-        // Build each group's sink; a group whose aggregation column cannot
-        // be resolved fails exactly as its members' serial scans would.
-        let mut sinks: Vec<GroupSink<'_>> = Vec::with_capacity(groups.len());
-        let mut live_groups: Vec<Group> = Vec::with_capacity(groups.len());
-        for group in groups {
-            let built = match &group.spec {
-                SinkSpec::Count => Ok(GroupSink::Count(CountSink::default())),
-                SinkSpec::WeightedCount => Ok(GroupSink::Weighted(WeightedMomentSink::counting(
-                    probabilities.expect("weighted sinks only exist on impressions"),
-                ))),
-                SinkSpec::Moments(column) => {
-                    numeric_source(table, column).map(|s| GroupSink::Moments(MomentSink::new(s)))
-                }
-                SinkSpec::WeightedMoments(column) => numeric_source(table, column).map(|s| {
-                    GroupSink::Weighted(WeightedMomentSink::new(
-                        s,
-                        probabilities.expect("weighted sinks only exist on impressions"),
-                    ))
-                }),
-            };
-            match built {
-                Ok(sink) => {
-                    sinks.push(sink);
-                    live_groups.push(group);
-                }
-                Err(err) => {
-                    for &i in &group.members {
-                        states[i].fail(err.clone().into());
+        // One shared sweep. The fan-out decision is the per-query one (all
+        // executions share the engine's parallelism), which the bit-identity
+        // of sharded scans depends on.
+        let parts = states[first.members[0]]
+            .exec
+            .partitioning(table.row_count());
+        let started = Instant::now();
+        // The level rung: the whole pass — fan-out, serial redo and all —
+        // is isolated, so a panic loses this level for its members only.
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            #[cfg(feature = "fault-injection")]
+            sciborq_telemetry::fault_point!("engine.level");
+            if let Some(parts) = &parts {
+                // The shard rung: a panicked fan-out leaves its sinks with
+                // a partial fold, so the serial redo builds fresh ones.
+                let sharded = catch_unwind(AssertUnwindSafe(|| {
+                    #[cfg(feature = "fault-injection")]
+                    sciborq_telemetry::fault_point!("scan.shard");
+                    shared_pass(table, &groups, probabilities, Some(parts))
+                }));
+                match sharded {
+                    Ok(scans) => return (scans, parts.shard_count()),
+                    Err(_) => {
+                        for &i in &members {
+                            states[i]
+                                .exec
+                                .record_fault("scan.shard", FaultEventKind::Recovery);
+                        }
                     }
                 }
             }
-        }
-        if live_groups.is_empty() {
-            return;
-        }
-
-        // One shared sweep. The fan-out decision replays per-query
-        // execution (all executions share the engine's parallelism), which
-        // the bit-identity of sharded scans depends on.
-        let parts = states[live_groups[0].members[0]]
-            .exec
-            .partitioning(table.row_count());
-        let shards = parts.as_ref().map_or(1, |p| p.shard_count());
-        let started = Instant::now();
-        let mut items: Vec<MultiScanItem<'_, '_>> = live_groups
-            .iter()
-            .zip(sinks.iter_mut())
-            .map(|(group, sink)| MultiScanItem {
-                predicate: &group.compiled,
-                sink,
-            })
-            .collect();
-        let results = multi_scan(table, &mut items, parts.as_ref());
-        drop(items);
+            (shared_pass(table, &groups, probabilities, None), 1)
+        }));
+        let (scans, shards) = match attempt {
+            Ok(pass) => pass,
+            Err(_) => {
+                for &i in &members {
+                    let st = &mut states[i];
+                    st.exec
+                        .record_fault("engine.level", FaultEventKind::Degradation);
+                    st.degraded = true;
+                }
+                return;
+            }
+        };
 
         // Book the group scan for every member and fold the shared sketch
         // through each member's estimator — or produce the exact base-data
-        // value. Estimation reuses the serial `estimate_level` seam.
-        for ((group, sink), result) in live_groups.iter().zip(&sinks).zip(results) {
-            match result {
-                Ok(stats) => {
-                    let sketch = sink.sketch();
+        // value.
+        for (group, scan) in groups.iter().zip(scans) {
+            match scan {
+                Ok((sketch, stats)) => {
                     for &i in &group.members {
                         let st = &mut states[i];
                         st.exec.record_scan(level, stats, shards, started);
                         match impression {
-                            Some(impression) => {
-                                match estimate_level(
-                                    impression,
-                                    st.agg_kind,
-                                    st.bounds.confidence,
-                                    &sketch,
-                                ) {
-                                    Ok((value, interval)) => {
-                                        let sampled_zero =
-                                            value == Some(0.0) && st.max_error.is_finite();
-                                        let met = !sampled_zero
-                                            && interval
-                                                .as_ref()
-                                                .map(|ci| ci.satisfies_error_bound(st.max_error))
-                                                .unwrap_or(false);
-                                        if st.tracing {
-                                            st.estimates.push(LevelEstimate {
-                                                level,
-                                                relative_error: interval
-                                                    .as_ref()
-                                                    .map(|ci| ci.relative_half_width()),
-                                                error_bound_met: met,
-                                            });
-                                        }
-                                        st.best = Some((value, interval, level));
-                                        if met {
-                                            st.finalize(value, interval, level, true);
-                                        } else if !st.time_ok() {
-                                            // Serial execution breaks out of
-                                            // escalation here: the level blew
-                                            // the clock without meeting the
-                                            // bound.
-                                            st.stopped = true;
-                                        }
-                                    }
-                                    Err(err) => st.fail(err),
-                                }
-                            }
-                            None => {
-                                // Base data: exact values, degenerate
-                                // intervals, no estimators involved.
-                                let value = match &sketch {
-                                    LevelSketch::Count(matched) => Some(*matched as f64),
-                                    LevelSketch::Moments(s) => s.aggregate(st.agg_kind),
-                                    LevelSketch::Weighted(_) => {
-                                        unreachable!("base-data groups never use weighted sinks")
-                                    }
-                                };
-                                let interval = value.map(ConfidenceInterval::exact);
-                                if st.tracing {
-                                    st.estimates.push(LevelEstimate {
-                                        level: EvaluationLevel::BaseData,
-                                        relative_error: Some(0.0),
-                                        // analyzer:allow(bounds_honesty, reason = "base-data evaluation is exact (relative error identically zero), so any finite error bound is met by construction")
-                                        error_bound_met: true,
-                                    });
-                                }
-                                st.finalize(value, interval, EvaluationLevel::BaseData, true);
-                            }
+                            Some(impression) => st.book_estimate(impression, level, &sketch),
+                            None => st.book_exact(&sketch),
                         }
                     }
                 }
@@ -505,5 +585,108 @@ impl BoundedQueryEngine {
                 }
             }
         }
+    }
+}
+
+/// Build one fresh sink per group and sweep `table` once for all of them. A
+/// group whose sink cannot be built (its aggregation column is not numeric)
+/// fails without taking part in the sweep.
+fn shared_pass(
+    table: &Table,
+    groups: &[Group],
+    probabilities: Option<&[f64]>,
+    parts: Option<&Partitioning>,
+) -> Vec<GroupScan> {
+    let mut sinks: Vec<_> = groups
+        .iter()
+        .map(|group| group.spec.sink(table, probabilities))
+        .collect();
+    let mut items: Vec<MultiScanItem<'_, '_>> = groups
+        .iter()
+        .zip(sinks.iter_mut())
+        .filter_map(|(group, sink)| {
+            Some(MultiScanItem {
+                predicate: &group.compiled,
+                sink: sink.as_mut().ok()?,
+            })
+        })
+        .collect();
+    let mut results = multi_scan(table, &mut items, parts).into_iter();
+    drop(items);
+    sinks
+        .into_iter()
+        .map(|sink| {
+            let sink = sink?;
+            let stats = results.next().expect("multi_scan answers every item")?;
+            Ok((sink.sketch(), stats))
+        })
+        .collect()
+}
+
+/// Turn a level's [`LevelSketch`] into a point estimate and confidence
+/// interval using the impression's sampling-design corrections.
+///
+/// MIN / MAX / VAR report the sample value with an unbounded interval:
+/// extremes and exact variance are not meaningfully estimable from a sample
+/// with bounded error, so the engine escalates to the base data whenever an
+/// error bound was requested.
+fn estimate_level(
+    impression: &Impression,
+    agg_kind: AggregateKind,
+    confidence: f64,
+    sketch: &LevelSketch,
+) -> Result<(Option<f64>, Option<ConfidenceInterval>)> {
+    let estimate: Option<Estimate> = match (agg_kind, sketch) {
+        (AggregateKind::Count, LevelSketch::Weighted(s)) => {
+            Some(impression.estimate_weighted_count(s)?)
+        }
+        (AggregateKind::Count, LevelSketch::Count(matched)) => {
+            Some(impression.estimate_count_streamed(*matched)?)
+        }
+        (AggregateKind::Sum, LevelSketch::Weighted(s)) => {
+            Some(impression.estimate_weighted_sum(s)?)
+        }
+        (AggregateKind::Sum, LevelSketch::Moments(s)) => Some(impression.estimate_sum_streamed(s)?),
+        (AggregateKind::Avg, LevelSketch::Weighted(s)) => {
+            if s.matched == 0 {
+                None
+            } else {
+                Some(impression.estimate_weighted_avg(s)?)
+            }
+        }
+        (AggregateKind::Avg, LevelSketch::Moments(s)) => {
+            if s.matched == 0 {
+                None
+            } else {
+                Some(impression.estimate_avg_streamed(s)?)
+            }
+        }
+        (
+            AggregateKind::Min | AggregateKind::Max | AggregateKind::Variance,
+            LevelSketch::Moments(s),
+        ) => {
+            let value = s.aggregate(agg_kind);
+            return Ok((
+                value,
+                value.map(|v| ConfidenceInterval {
+                    estimate: v,
+                    lower: f64::NEG_INFINITY,
+                    upper: f64::INFINITY,
+                    confidence,
+                }),
+            ));
+        }
+        _ => {
+            return Err(SciborqError::InvalidConfig(format!(
+                "internal: level sketch flavour does not fit {agg_kind}"
+            )))
+        }
+    };
+    match estimate {
+        Some(est) => {
+            let interval = ConfidenceInterval::from_estimate(&est, confidence)?;
+            Ok((Some(est.value), Some(interval)))
+        }
+        None => Ok((None, None)),
     }
 }

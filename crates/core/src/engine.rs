@@ -12,19 +12,23 @@
 //! exhausted. The reported `time_bound_met` is *measured* at the moment the
 //! answer is produced — an evaluation that blows the clock mid-level returns
 //! its best effort flagged `time_bound_met: false`, never a bound it did not
-//! actually keep. Scans over the base data and large impressions fan out
-//! across the shards configured by [`SciborqConfig::parallelism`]; the merge
-//! order is fixed, so sharded answers are bit-identical to single-threaded
-//! ones.
+//! actually keep.
+//!
+//! This module holds the bounds, the engine and its SELECT loop. Aggregate
+//! queries have one escalation loop, in [`crate::batch`]:
+//! [`BoundedQueryEngine::execute_aggregate`] is a batch of one through
+//! [`BoundedQueryEngine::execute_aggregate_batch`], which also carries the
+//! aggregate path's degradation ladder. Scans over the base data and large
+//! impressions fan out across the shards configured by
+//! [`SciborqConfig::parallelism`]; the merge order is fixed, so sharded
+//! answers are bit-identical to single-threaded ones.
 
-use crate::answer::{ApproximateAnswer, EvaluationLevel, LevelEstimate, SelectAnswer};
+use crate::answer::{ApproximateAnswer, EvaluationLevel, SelectAnswer};
 use crate::config::SciborqConfig;
 use crate::error::{Result, SciborqError};
 use crate::execution::QueryExecution;
-use crate::impression::Impression;
 use crate::layer::LayerHierarchy;
-use sciborq_columnar::{AggregateKind, MomentSketch, Table, WeightedMomentSketch};
-use sciborq_stats::{ConfidenceInterval, Estimate};
+use sciborq_columnar::Table;
 use sciborq_telemetry::FaultEventKind;
 use sciborq_workload::{Query, QueryKind};
 use serde::{Deserialize, Serialize};
@@ -142,7 +146,10 @@ impl BoundedQueryEngine {
     /// hierarchy and optionally into the base table.
     ///
     /// `base_table` is the ground-truth table used when no impression can
-    /// satisfy the error bound within the runtime budget (layer 0).
+    /// satisfy the error bound within the runtime budget (layer 0). The
+    /// query runs as a batch of one through
+    /// [`BoundedQueryEngine::execute_aggregate_batch`], the one aggregate
+    /// escalation loop.
     pub fn execute_aggregate(
         &self,
         query: &Query,
@@ -150,316 +157,9 @@ impl BoundedQueryEngine {
         base_table: Option<&Table>,
         bounds: &QueryBounds,
     ) -> Result<ApproximateAnswer> {
-        bounds.validate()?;
-        let (agg_kind, agg_column) = match &query.kind {
-            QueryKind::Aggregate { kind, column } => (*kind, column.clone()),
-            QueryKind::Select => {
-                return Err(SciborqError::InvalidConfig(
-                    "execute_aggregate called with a SELECT query; use execute_select".to_owned(),
-                ))
-            }
-        };
-
-        let start = Instant::now();
-        let max_error = bounds.max_relative_error.unwrap_or(f64::INFINITY);
-        // Honest wall-clock check: re-evaluated at every decision point and
-        // at every return, never assumed.
-        let time_ok = || {
-            bounds
-                .time_budget
-                .is_none_or(|budget| start.elapsed() <= budget)
-        };
-        // Compile the predicate once; every level reuses the compiled form
-        // and contributes measured scan accounting. Large levels fan out
-        // across the configured scan shards.
-        let exec =
-            QueryExecution::with_parallelism(query.predicate.clone(), self.config.parallelism);
-        let mut escalations = 0usize;
-        let mut best: Option<(Option<f64>, Option<ConfidenceInterval>, EvaluationLevel)> = None;
-        // Degradation ladder state: set when a whole level is lost to a
-        // panic. The answer then comes from the best level that completed,
-        // flagged `degraded` — its bound verdicts stay measured against
-        // what is actually returned. Always false on the fault-free path.
-        let mut degraded = false;
-        // Per-level quality accounting, collected only when tracing is on.
-        // Strictly observational: nothing below reads `estimates` back.
-        let tracing = self.config.collect_traces;
-        let mut estimates: Vec<LevelEstimate> = Vec::new();
-
-        // Escalate from the least to the most detailed admissible impression.
-        for impression in hierarchy.escalation_order() {
-            let level_rows = impression.row_count() as u64;
-            if let Some(budget) = bounds.max_rows_scanned {
-                if level_rows > budget {
-                    // This level violates the row budget. `continue` rather
-                    // than `break`: breaking would silently assume the
-                    // escalation order is sorted by row count, and an
-                    // unsorted hierarchy would then skip admissible levels.
-                    continue;
-                }
-            }
-            // Stop escalating once the wall-clock budget is spent — but
-            // always evaluate at least one admissible level, so the engine
-            // returns its best effort rather than nothing.
-            if best.is_some() && !time_ok() {
-                break;
-            }
-            if best.is_some() {
-                escalations += 1;
-            }
-            let level = EvaluationLevel::Layer(impression.layer());
-            // Isolate the whole level evaluation: a panic that escapes the
-            // shard-recovery rung (or an injected `engine.level` fault)
-            // loses this level only — escalation continues and the answer
-            // is flagged degraded.
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-injection")]
-                sciborq_telemetry::fault_point!("engine.level");
-                self.evaluate_on_impression(
-                    &exec,
-                    impression,
-                    level,
-                    agg_kind,
-                    agg_column.as_deref(),
-                    bounds,
-                )
-            }));
-            let (value, interval) = match attempt {
-                Ok(result) => result?,
-                Err(_) => {
-                    exec.record_fault("engine.level", FaultEventKind::Degradation);
-                    degraded = true;
-                    continue;
-                }
-            };
-            // A sampled zero (no matching rows in the impression) carries a
-            // degenerate [0, 0] interval, which would read as "zero error".
-            // Claiming a certain COUNT/SUM of 0 from a sample is dishonest
-            // for rare predicates, so a finite error bound is never treated
-            // as met by a sampled zero — the engine keeps escalating, down
-            // to the base data if permitted.
-            let sampled_zero = value == Some(0.0) && max_error.is_finite();
-            let met = !sampled_zero
-                && interval
-                    .as_ref()
-                    .map(|ci| ci.satisfies_error_bound(max_error))
-                    .unwrap_or(false);
-            if tracing {
-                estimates.push(LevelEstimate {
-                    level,
-                    relative_error: interval.as_ref().map(|ci| ci.relative_half_width()),
-                    error_bound_met: met,
-                });
-            }
-            best = Some((value, interval, level));
-            if met {
-                let (value, interval, level) = best.expect("just set");
-                // time_bound_met is measured *after* the winning evaluation:
-                // meeting the error bound does not excuse blowing the clock.
-                let time_bound_met = time_ok();
-                let mut answer = ApproximateAnswer {
-                    query: query.to_string(),
-                    value,
-                    interval,
-                    level,
-                    rows_scanned: exec.rows_scanned(),
-                    escalations,
-                    elapsed: start.elapsed(),
-                    level_scans: exec.take_level_scans(),
-                    // analyzer:allow(bounds_honesty, reason = "this branch is only reached when `met` — the measured error-bound check a few lines up — is true, so the literal restates a measurement")
-                    error_bound_met: true,
-                    time_bound_met,
-                    degraded,
-                    fault_events: exec.take_fault_events(),
-                    trace: None,
-                };
-                if tracing {
-                    answer.trace =
-                        Some(answer.build_trace(&estimates, bounds, self.config.parallelism));
-                }
-                return Ok(answer);
-            }
-            // Re-check after the level: if this evaluation blew the budget,
-            // escalating further would only dig the hole deeper.
-            if !time_ok() {
-                break;
-            }
-        }
-
-        // Fall through to the base data when allowed.
-        let base_admissible = base_table.map(|t| {
-            bounds
-                .max_rows_scanned
-                .is_none_or(|budget| t.row_count() as u64 <= budget)
-        });
-        if let (Some(table), Some(true), true) = (base_table, base_admissible, time_ok()) {
-            if best.is_some() {
-                escalations += 1;
-            }
-            // Exact evaluation through the fused kernels: no selection is
-            // materialised for aggregates over the (large) base table. The
-            // base scan is isolated like any sampled level: a panic here
-            // degrades to the best sampled estimate instead of poisoning
-            // the query.
-            let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<Option<f64>> {
-                #[cfg(feature = "fault-injection")]
-                sciborq_telemetry::fault_point!("engine.level");
-                match agg_kind {
-                    AggregateKind::Count => Ok(Some(
-                        exec.count_matches(EvaluationLevel::BaseData, table)? as f64,
-                    )),
-                    _ => {
-                        let column = agg_column.as_deref().ok_or_else(|| {
-                            SciborqError::InvalidConfig(format!("{agg_kind} requires a column"))
-                        })?;
-                        Ok(exec
-                            .filter_moments(EvaluationLevel::BaseData, table, column)?
-                            .aggregate(agg_kind))
-                    }
-                }
-            }));
-            match attempt {
-                Ok(outcome) => {
-                    let value = outcome?;
-                    // Measured honesty: the base scan itself may exceed the
-                    // wall-clock budget even though it was admissible on entry.
-                    let time_bound_met = time_ok();
-                    if tracing {
-                        estimates.push(LevelEstimate {
-                            level: EvaluationLevel::BaseData,
-                            relative_error: Some(0.0),
-                            // analyzer:allow(bounds_honesty, reason = "base-data evaluation is exact (relative error identically zero), so any finite error bound is met by construction")
-                            error_bound_met: true,
-                        });
-                    }
-                    let mut answer = ApproximateAnswer {
-                        query: query.to_string(),
-                        value,
-                        interval: value.map(ConfidenceInterval::exact),
-                        level: EvaluationLevel::BaseData,
-                        rows_scanned: exec.rows_scanned(),
-                        escalations,
-                        elapsed: start.elapsed(),
-                        level_scans: exec.take_level_scans(),
-                        // analyzer:allow(bounds_honesty, reason = "base-data evaluation is exact (relative error identically zero), so any finite error bound is met by construction")
-                        error_bound_met: true,
-                        time_bound_met,
-                        degraded,
-                        fault_events: exec.take_fault_events(),
-                        trace: None,
-                    };
-                    if tracing {
-                        answer.trace =
-                            Some(answer.build_trace(&estimates, bounds, self.config.parallelism));
-                    }
-                    return Ok(answer);
-                }
-                Err(_) => {
-                    exec.record_fault("engine.level", FaultEventKind::Degradation);
-                    degraded = true;
-                }
-            }
-        }
-
-        // Return the best approximate answer obtained within the budget.
-        match best {
-            Some((value, interval, level)) => {
-                let sampled_zero = value == Some(0.0) && max_error.is_finite();
-                let error_bound_met = !sampled_zero
-                    && interval
-                        .as_ref()
-                        .map(|ci| ci.satisfies_error_bound(max_error))
-                        .unwrap_or(false);
-                let time_bound_met = time_ok();
-                let mut answer = ApproximateAnswer {
-                    query: query.to_string(),
-                    value,
-                    interval,
-                    level,
-                    rows_scanned: exec.rows_scanned(),
-                    escalations,
-                    elapsed: start.elapsed(),
-                    level_scans: exec.take_level_scans(),
-                    error_bound_met,
-                    time_bound_met,
-                    degraded,
-                    fault_events: exec.take_fault_events(),
-                    trace: None,
-                };
-                if tracing {
-                    answer.trace =
-                        Some(answer.build_trace(&estimates, bounds, self.config.parallelism));
-                }
-                Ok(answer)
-            }
-            // Every level was lost to an isolated panic: there is no honest
-            // estimate left to degrade to, so the query fails typed.
-            None if degraded => Err(SciborqError::Internal {
-                site: "engine.level".to_owned(),
-            }),
-            None => Err(SciborqError::BoundsUnsatisfiable(format!(
-                "no impression of {} fits a row budget of {:?}",
-                hierarchy.source_table(),
-                bounds.max_rows_scanned
-            ))),
-        }
-    }
-
-    /// Evaluate one escalation level through the fused scan kernels — no
-    /// selection vector is materialised for **any** policy. Self-weighted
-    /// impressions stream match counts / moment sketches into the SRS
-    /// estimators; biased impressions stream Hansen–Hurwitz sketches (each
-    /// matching row expanded by the impression's cached selection
-    /// probability) into the weighted estimators. The reduction to a
-    /// [`LevelSketch`] followed by [`estimate_level`] is the exact pipeline
-    /// the shared-scan batch executor replays, so batched estimates are
-    /// computed by the same code as serial ones.
-    fn evaluate_on_impression(
-        &self,
-        exec: &QueryExecution,
-        impression: &Impression,
-        level: EvaluationLevel,
-        agg_kind: AggregateKind,
-        agg_column: Option<&str>,
-        bounds: &QueryBounds,
-    ) -> Result<(Option<f64>, Option<ConfidenceInterval>)> {
-        let data = impression.data();
-        let weighted = impression.uses_weighted_estimators();
-        let sketch = match agg_kind {
-            AggregateKind::Count => {
-                if weighted {
-                    LevelSketch::Weighted(exec.count_weighted(
-                        level,
-                        data,
-                        impression.selection_probabilities(),
-                    )?)
-                } else {
-                    LevelSketch::Count(exec.count_matches(level, data)?)
-                }
-            }
-            AggregateKind::Sum | AggregateKind::Avg => {
-                let column = agg_column.ok_or_else(|| {
-                    SciborqError::InvalidConfig(format!("{agg_kind} requires a column"))
-                })?;
-                if weighted {
-                    LevelSketch::Weighted(exec.filter_weighted_moments(
-                        level,
-                        data,
-                        column,
-                        impression.selection_probabilities(),
-                    )?)
-                } else {
-                    LevelSketch::Moments(exec.filter_moments(level, data, column)?)
-                }
-            }
-            AggregateKind::Min | AggregateKind::Max | AggregateKind::Variance => {
-                let column = agg_column.ok_or_else(|| {
-                    SciborqError::InvalidConfig(format!("{agg_kind} requires a column"))
-                })?;
-                LevelSketch::Moments(exec.filter_moments(level, data, column)?)
-            }
-        };
-        estimate_level(impression, agg_kind, bounds.confidence, &sketch)
+        self.execute_aggregate_batch(&[(query, bounds)], hierarchy, base_table)
+            .pop()
+            .expect("a batch answers every request")
     }
 
     /// Answer a SELECT query: return rows drawn from the smallest impression
@@ -502,8 +202,8 @@ impl BoundedQueryEngine {
             let level_rows = impression.row_count() as u64;
             if let Some(budget) = bounds.max_rows_scanned {
                 if level_rows > budget {
-                    // see execute_aggregate: don't assume sorted escalation
-                    // order — a later level may still be admissible
+                    // don't assume sorted escalation order — a later level
+                    // may still be admissible
                     continue;
                 }
             }
@@ -657,96 +357,12 @@ impl BoundedQueryEngine {
     }
 }
 
-/// The sufficient statistics one escalation level produced for one query —
-/// the seam between scanning and estimation. Serial execution and the
-/// shared-scan batch executor both reduce a level to a `LevelSketch` and
-/// then call [`estimate_level`], so the two paths share their estimation
-/// code and produce bit-identical answers from identical sketches.
-#[derive(Debug, Clone)]
-pub(crate) enum LevelSketch {
-    /// A plain match count (COUNT on a self-weighted impression).
-    Count(usize),
-    /// An unweighted moment sketch of the aggregated column.
-    Moments(MomentSketch),
-    /// A Hansen–Hurwitz weighted sketch (biased impressions; also carries
-    /// weighted COUNTs, where no aggregation column is involved).
-    Weighted(WeightedMomentSketch),
-}
-
-/// Turn a level's [`LevelSketch`] into a point estimate and confidence
-/// interval using the impression's sampling-design corrections.
-///
-/// MIN / MAX / VAR report the sample value with an unbounded interval:
-/// extremes and exact variance are not meaningfully estimable from a sample
-/// with bounded error, so the engine escalates to the base data whenever an
-/// error bound was requested.
-pub(crate) fn estimate_level(
-    impression: &Impression,
-    agg_kind: AggregateKind,
-    confidence: f64,
-    sketch: &LevelSketch,
-) -> Result<(Option<f64>, Option<ConfidenceInterval>)> {
-    let estimate: Option<Estimate> = match (agg_kind, sketch) {
-        (AggregateKind::Count, LevelSketch::Weighted(s)) => {
-            Some(impression.estimate_count_weighted(s)?)
-        }
-        (AggregateKind::Count, LevelSketch::Count(matched)) => {
-            Some(impression.estimate_count_streamed(*matched)?)
-        }
-        (AggregateKind::Sum, LevelSketch::Weighted(s)) => {
-            Some(impression.estimate_sum_weighted(s)?)
-        }
-        (AggregateKind::Sum, LevelSketch::Moments(s)) => Some(impression.estimate_sum_streamed(s)?),
-        (AggregateKind::Avg, LevelSketch::Weighted(s)) => {
-            if s.matched == 0 {
-                None
-            } else {
-                Some(impression.estimate_avg_weighted(s)?)
-            }
-        }
-        (AggregateKind::Avg, LevelSketch::Moments(s)) => {
-            if s.matched == 0 {
-                None
-            } else {
-                Some(impression.estimate_avg_streamed(s)?)
-            }
-        }
-        (
-            AggregateKind::Min | AggregateKind::Max | AggregateKind::Variance,
-            LevelSketch::Moments(s),
-        ) => {
-            let value = s.aggregate(agg_kind);
-            return Ok((
-                value,
-                value.map(|v| ConfidenceInterval {
-                    estimate: v,
-                    lower: f64::NEG_INFINITY,
-                    upper: f64::INFINITY,
-                    confidence,
-                }),
-            ));
-        }
-        _ => {
-            return Err(SciborqError::InvalidConfig(format!(
-                "internal: level sketch flavour does not fit {agg_kind}"
-            )))
-        }
-    };
-    match estimate {
-        Some(est) => {
-            let interval = ConfidenceInterval::from_estimate(&est, confidence)?;
-            Ok((Some(est.value), Some(interval)))
-        }
-        None => Ok((None, None)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::SamplingPolicy;
     use sciborq_columnar::{
-        DataType, Field, Predicate, RecordBatchBuilder, Schema, SchemaRef, Value,
+        AggregateKind, DataType, Field, Predicate, RecordBatchBuilder, Schema, SchemaRef, Value,
     };
 
     fn schema() -> SchemaRef {

@@ -1,31 +1,30 @@
 //! Compile-once query execution state.
 //!
 //! The bounded query engine escalates one query through several impressions
-//! and possibly the base table. Historically every level re-resolved column
-//! names and re-evaluated the whole predicate row-at-a-time from scratch.
-//! [`QueryExecution`] is the per-query object that fixes this: it compiles
-//! the predicate into a [`CompiledPredicate`] exactly once (all impressions
-//! of a hierarchy share the base table's schema, so one compilation serves
-//! every level), runs the vectorized scan kernels per level, and records
-//! *measured* scan accounting — rows actually visited by the kernels and
-//! per-level wall time. Levels are still *admitted* by their row count (the
-//! impression-size knob the paper's runtime bounds turn), but every answer
-//! now reports what the kernels really did; for conjunctions with candidate
-//! refinement the measured visits can differ from the level's row count in
-//! either direction.
+//! and possibly the base table. [`QueryExecution`] is the per-query object
+//! that carries it across levels: it compiles the predicate into a
+//! [`CompiledPredicate`] exactly once (all impressions of a hierarchy share
+//! the base table's schema, so one compilation serves every level), decides
+//! each level's shard fan-out, and records *measured* scan accounting —
+//! rows actually visited by the kernels and per-level wall time — plus the
+//! fault events of the degradation ladder. Levels are still *admitted* by
+//! their row count (the impression-size knob the paper's runtime bounds
+//! turn), but every answer reports what the kernels really did; for
+//! conjunctions with mask refinement the measured visits can differ from
+//! the level's row count in either direction.
 //!
 //! All state lives behind interior mutability (`RwLock` for the compiled
-//! predicate, `Mutex` for the scan records), so an execution can be driven
-//! through `&self` — the shape the serving layer's shared-scan scheduler
-//! needs, where one scan pass feeds many executions that each record their
-//! own accounting.
+//! predicate, `Mutex` for the scan and fault records), so an execution can
+//! be driven through `&self`: the aggregate path's shared scan passes (see
+//! [`crate::batch`]) feed many executions from one sweep, each booking its
+//! own accounting through [`QueryExecution::record_scan`], while the SELECT
+//! path scans through [`QueryExecution::selection`].
 
 use crate::answer::{EvaluationLevel, LevelScan};
 use crate::error::Result;
 use parking_lot::{Mutex, RwLock};
 use sciborq_columnar::{
-    CompiledPredicate, MomentSketch, Partitioning, Predicate, ScanStats, SelectionVector, Table,
-    WeightedMomentSketch,
+    CompiledPredicate, Partitioning, Predicate, ScanStats, SelectionVector, Table,
 };
 use sciborq_telemetry::{FaultEvent, FaultEventKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -129,16 +128,6 @@ impl QueryExecution {
         });
     }
 
-    /// Roll per-shard scan stats up into one total (the per-shard accounting
-    /// surfaces as `LevelScan::{rows_scanned, shards}`).
-    fn roll_up(per_shard: &[ScanStats]) -> ScanStats {
-        let mut total = ScanStats::default();
-        for s in per_shard {
-            total.merge(s);
-        }
-        total
-    }
-
     /// Record a fault-handling event against this execution; the session
     /// turns these into `engine.fault_*` counters when the answer is
     /// observed, and they ride on the answer's trace.
@@ -155,142 +144,40 @@ impl QueryExecution {
         std::mem::take(&mut *self.faults.lock())
     }
 
-    /// Run a level scan sharded when `parts` says so, isolating shard
-    /// panics: a fan-out that panics (a poisoned shard worker, or an
-    /// injected `scan.shard` fault) is caught and the level is redone with
-    /// the serial kernel — the first rung of the degradation ladder. The
-    /// serial kernels are bit-identical to the sharded ones (the standing
-    /// kernel-parity contract), so a recovered scan changes no answer
-    /// bits; the recovery is recorded via [`QueryExecution::record_fault`]
-    /// so telemetry counters and the query trace still see it.
-    fn isolate_shards<T>(
-        &self,
-        parts: Option<Partitioning>,
-        sharded: impl Fn(&Partitioning) -> Result<(T, Vec<ScanStats>)>,
-        serial: impl Fn() -> Result<(T, ScanStats)>,
-    ) -> Result<(T, ScanStats, usize)> {
-        if let Some(parts) = parts {
+    /// Materialise the selection of qualifying rows at `level` (the SELECT
+    /// path). The scan fans out when [`QueryExecution::partitioning`] says
+    /// so, isolating shard panics: a fan-out that panics (a poisoned shard
+    /// worker, or an injected `scan.shard` fault) is caught and the level is
+    /// redone with the serial kernel — the first rung of the degradation
+    /// ladder. The serial kernel is bit-identical to the sharded one, so a
+    /// recovered scan changes no answer bits; the recovery is recorded via
+    /// [`QueryExecution::record_fault`] so telemetry counters and the query
+    /// trace still see it.
+    pub fn selection(&self, level: EvaluationLevel, table: &Table) -> Result<SelectionVector> {
+        let started = Instant::now();
+        let compiled = self.compiled_for(table)?;
+        if let Some(parts) = self.partitioning(table.row_count()) {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-injection")]
                 sciborq_telemetry::fault_point!("scan.shard");
-                sharded(&parts)
+                compiled.evaluate_partitioned(table, &parts)
             }));
             match attempt {
                 Ok(result) => {
-                    let (value, per_shard) = result?;
-                    return Ok((value, Self::roll_up(&per_shard), parts.shard_count()));
+                    let (selection, per_shard) = result?;
+                    let mut stats = ScanStats::default();
+                    for shard in &per_shard {
+                        stats.merge(shard);
+                    }
+                    self.record_scan(level, stats, parts.shard_count(), started);
+                    return Ok(selection);
                 }
                 Err(_) => self.record_fault("scan.shard", FaultEventKind::Recovery),
             }
         }
-        let (value, stats) = serial()?;
-        Ok((value, stats, 1))
-    }
-
-    /// Materialise the selection of qualifying rows at `level` (used by
-    /// SELECT queries and the weighted estimators of biased impressions).
-    pub fn selection(&self, level: EvaluationLevel, table: &Table) -> Result<SelectionVector> {
-        let started = Instant::now();
-        let parts = self.partitioning(table.row_count());
-        let compiled = self.compiled_for(table)?;
-        let (selection, stats, shards) = self.isolate_shards(
-            parts,
-            |parts| Ok(compiled.evaluate_partitioned(table, parts)?),
-            || Ok(compiled.evaluate_with_stats(table)?),
-        )?;
-        self.record_scan(level, stats, shards, started);
+        let (selection, stats) = compiled.evaluate_with_stats(table)?;
+        self.record_scan(level, stats, 1, started);
         Ok(selection)
-    }
-
-    /// Fused filter+count at `level`: the number of qualifying rows without
-    /// materialising a selection.
-    pub fn count_matches(&self, level: EvaluationLevel, table: &Table) -> Result<usize> {
-        let started = Instant::now();
-        let parts = self.partitioning(table.row_count());
-        let compiled = self.compiled_for(table)?;
-        let (count, stats, shards) = self.isolate_shards(
-            parts,
-            |parts| Ok(compiled.count_matches_partitioned(table, parts)?),
-            || Ok(compiled.count_matches(table)?),
-        )?;
-        self.record_scan(level, stats, shards, started);
-        Ok(count)
-    }
-
-    /// Fused filter+aggregate at `level`: stream the aggregated column's
-    /// values of every qualifying row into a moment sketch in a single
-    /// pass (the filter fans out across shards; the fold stays in global
-    /// row order, so the sketch is bit-identical either way).
-    pub fn filter_moments(
-        &self,
-        level: EvaluationLevel,
-        table: &Table,
-        column: &str,
-    ) -> Result<MomentSketch> {
-        let started = Instant::now();
-        let parts = self.partitioning(table.row_count());
-        let compiled = self.compiled_for(table)?;
-        let (sketch, stats, shards) = self.isolate_shards(
-            parts,
-            |parts| Ok(compiled.filter_moments_partitioned(table, column, parts)?),
-            || Ok(compiled.filter_moments(table, column)?),
-        )?;
-        self.record_scan(level, stats, shards, started);
-        Ok(sketch)
-    }
-
-    /// Fused *weighted* filter+count at `level`: accumulate the
-    /// Hansen–Hurwitz sufficient statistics of every qualifying row (each
-    /// expanded by its cached selection probability) in a single pass —
-    /// the streamed estimation path of biased impressions. The filter fans
-    /// out across shards; the fold stays in global row order, so the sketch
-    /// is bit-identical to single-threaded execution.
-    pub fn count_weighted(
-        &self,
-        level: EvaluationLevel,
-        table: &Table,
-        probabilities: &[f64],
-    ) -> Result<WeightedMomentSketch> {
-        let started = Instant::now();
-        let parts = self.partitioning(table.row_count());
-        let compiled = self.compiled_for(table)?;
-        let (sketch, stats, shards) = self.isolate_shards(
-            parts,
-            |parts| Ok(compiled.count_weighted_partitioned(table, probabilities, parts)?),
-            || Ok(compiled.count_weighted(table, probabilities)?),
-        )?;
-        self.record_scan(level, stats, shards, started);
-        Ok(sketch)
-    }
-
-    /// Fused weighted filter+aggregate at `level`: stream the aggregated
-    /// column's values of every qualifying row, expanded by the cached
-    /// selection probabilities, into a [`WeightedMomentSketch`] in a single
-    /// pass (sharded filter, fixed-order fold — bit-identical either way).
-    pub fn filter_weighted_moments(
-        &self,
-        level: EvaluationLevel,
-        table: &Table,
-        column: &str,
-        probabilities: &[f64],
-    ) -> Result<WeightedMomentSketch> {
-        let started = Instant::now();
-        let parts = self.partitioning(table.row_count());
-        let compiled = self.compiled_for(table)?;
-        let (sketch, stats, shards) = self.isolate_shards(
-            parts,
-            |parts| {
-                Ok(compiled.filter_weighted_moments_partitioned(
-                    table,
-                    column,
-                    probabilities,
-                    parts,
-                )?)
-            },
-            || Ok(compiled.filter_weighted_moments(table, column, probabilities)?),
-        )?;
-        self.record_scan(level, stats, shards, started);
-        Ok(sketch)
     }
 
     /// Total measured rows visited by the scan kernels so far.
@@ -318,7 +205,10 @@ impl QueryExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sciborq_columnar::{DataType, Field, Schema, Value};
+    use sciborq_columnar::{
+        multi_scan, numeric_source, CountSink, DataType, Field, MomentSink, MultiScanItem, Schema,
+        Value,
+    };
 
     fn table(rows: usize) -> Table {
         let schema = Schema::shared(vec![
@@ -361,17 +251,30 @@ mod tests {
         let t = table(60);
         let exec =
             QueryExecution::new(Predicate::lt("ra", 30.0).and(Predicate::gt_eq("r_mag", 15.0)));
-        let count = exec.count_matches(EvaluationLevel::Layer(1), &t).unwrap();
-        assert_eq!(count, 30);
-        // first conjunct scans all 60 rows, the terminal one only the 30
-        // candidates
-        assert_eq!(exec.rows_scanned(), 90);
-
-        let sketch = exec
-            .filter_moments(EvaluationLevel::Layer(1), &t, "r_mag")
-            .unwrap();
-        assert_eq!(sketch.matched, 30);
-        // the repeated pass over the same level merges into one record
+        let compiled = exec.compiled_for(&t).unwrap();
+        // two fused sinks over the same level in one shared pass, each
+        // booked the way the aggregate path books its group scans
+        let mut count = CountSink::default();
+        let mut moments = MomentSink::new(numeric_source(&t, "r_mag").unwrap());
+        let mut items = [
+            MultiScanItem {
+                predicate: &compiled,
+                sink: &mut count,
+            },
+            MultiScanItem {
+                predicate: &compiled,
+                sink: &mut moments,
+            },
+        ];
+        let started = Instant::now();
+        for stats in multi_scan(&t, &mut items, None) {
+            exec.record_scan(EvaluationLevel::Layer(1), stats.unwrap(), 1, started);
+        }
+        assert_eq!(count.0, 30);
+        assert_eq!(moments.sketch.matched, 30);
+        // per pass, the first conjunct scans all 60 rows and the terminal
+        // one only the 30 candidates; the two passes over the same level
+        // merge into one record
         assert_eq!(exec.levels_visited(), 1);
         assert_eq!(exec.level_scans()[0].rows_scanned, 180);
     }

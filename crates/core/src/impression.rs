@@ -231,9 +231,8 @@ impl Impression {
     }
 
     /// The per-row single-draw selection probabilities, precomputed once per
-    /// impression. This is the slice the fused weighted scan kernels
-    /// (`CompiledPredicate::{count_weighted, filter_weighted_moments}`)
-    /// expand matching rows by. Empty for self-weighted policies, whose
+    /// impression. This is the slice the fused weighted scan sinks
+    /// ([`sciborq_columnar::WeightedMomentSink`]) expand matching rows by. Empty for self-weighted policies, whose
     /// streamed estimators never read per-row probabilities (every row's is
     /// the constant `1/cnt`, see [`Impression::selection_probability`]).
     pub fn selection_probabilities(&self) -> &[f64] {
@@ -242,7 +241,8 @@ impl Impression {
 
     /// Whether this impression's estimators use the weighted
     /// (Hansen–Hurwitz / Hájek) family, i.e. whether streamed estimation
-    /// goes through the `*_weighted` entry points and the probability slice.
+    /// goes through the `estimate_weighted_*` entry points and the
+    /// probability slice.
     /// Every policy streams: self-weighted policies (uniform, last-seen)
     /// stream match counts and [`MomentSketch`]es into the SRS estimators;
     /// biased policies stream [`WeightedMomentSketch`]es into the
@@ -253,7 +253,7 @@ impl Impression {
 
     /// Guard for the SRS streamed entry points, which remain exclusive to
     /// self-weighted policies (biased impressions stream through the
-    /// `*_weighted` counterparts).
+    /// `estimate_weighted_*` counterparts).
     fn require_self_weighted(&self, what: &str) -> Result<()> {
         if self.uses_weighted_estimators() {
             return Err(SciborqError::InvalidConfig(format!(
@@ -266,7 +266,7 @@ impl Impression {
 
     /// Estimate COUNT from a fused filter+count kernel's match count,
     /// without a selection vector. Only valid for self-weighted policies;
-    /// biased impressions use [`Impression::estimate_count_weighted`].
+    /// biased impressions use [`Impression::estimate_weighted_count`].
     pub fn estimate_count_streamed(&self, matched: usize) -> Result<Estimate> {
         self.require_self_weighted("COUNT")?;
         let est = SrsEstimator::new(self.source_rows, self.row_count() as u64)?
@@ -276,7 +276,7 @@ impl Impression {
 
     /// Estimate SUM from a fused filter+aggregate moment sketch, without
     /// re-walking any selection. Only valid for self-weighted policies;
-    /// biased impressions use [`Impression::estimate_sum_weighted`].
+    /// biased impressions use [`Impression::estimate_weighted_sum`].
     pub fn estimate_sum_streamed(&self, sketch: &MomentSketch) -> Result<Estimate> {
         self.require_self_weighted("SUM")?;
         let est = SrsEstimator::new(self.source_rows, self.row_count() as u64)?
@@ -286,7 +286,7 @@ impl Impression {
 
     /// Estimate AVG from a fused filter+aggregate moment sketch, without
     /// re-walking any selection. Only valid for self-weighted policies;
-    /// biased impressions use [`Impression::estimate_avg_weighted`].
+    /// biased impressions use [`Impression::estimate_weighted_avg`].
     pub fn estimate_avg_streamed(&self, sketch: &MomentSketch) -> Result<Estimate> {
         self.require_self_weighted("AVG")?;
         let est = SrsEstimator::new(self.source_rows, self.row_count() as u64)?
@@ -307,22 +307,21 @@ impl Impression {
         )?)
     }
 
-    /// Estimate COUNT from a fused *weighted* filter+count sketch
-    /// (`CompiledPredicate::count_weighted` over
+    /// Estimate COUNT from a fused *weighted* filter+count sketch (a
+    /// counting [`sciborq_columnar::WeightedMomentSink`] over
     /// [`Impression::selection_probabilities`]) — the streamed
     /// Hansen–Hurwitz path: no selection vector, no observation vector.
     ///
     /// Bit-identical to [`Impression::estimate_count`] on the equivalent
     /// selection: both fold the same expansions in the same row order.
-    pub fn estimate_count_weighted(&self, sketch: &WeightedMomentSketch) -> Result<Estimate> {
+    pub fn estimate_weighted_count(&self, sketch: &WeightedMomentSketch) -> Result<Estimate> {
         self.estimate_total_weighted(sketch)
     }
 
-    /// Estimate SUM from a fused weighted filter+aggregate sketch
-    /// (`CompiledPredicate::filter_weighted_moments`) — the streamed
-    /// Hansen–Hurwitz path. Bit-identical to [`Impression::estimate_sum`]
+    /// Estimate SUM from a fused weighted filter+aggregate sketch — the
+    /// streamed Hansen–Hurwitz path. Bit-identical to [`Impression::estimate_sum`]
     /// on the equivalent selection.
-    pub fn estimate_sum_weighted(&self, sketch: &WeightedMomentSketch) -> Result<Estimate> {
+    pub fn estimate_weighted_sum(&self, sketch: &WeightedMomentSketch) -> Result<Estimate> {
         self.estimate_total_weighted(sketch)
     }
 
@@ -330,7 +329,7 @@ impl Impression {
     /// streamed Hájek ratio path. Bit-identical to
     /// [`Impression::estimate_avg`] on the equivalent selection; errors when
     /// no matching draw carried a non-NULL value, like the selection path.
-    pub fn estimate_avg_weighted(&self, sketch: &WeightedMomentSketch) -> Result<Estimate> {
+    pub fn estimate_weighted_avg(&self, sketch: &WeightedMomentSketch) -> Result<Estimate> {
         if sketch.count == 0 {
             return Err(SciborqError::Stats(sciborq_stats::StatsError::EmptyInput(
                 "no matching rows in impression",
@@ -655,43 +654,59 @@ mod tests {
         assert_eq!(uni.selection_probability(0), 2e-3);
     }
 
+    /// Stream `predicate`'s matches over the impression into a weighted sink
+    /// (counting when `column` is `None`) through a one-item `multi_scan`.
+    fn weighted_sketch(
+        imp: &Impression,
+        predicate: &Predicate,
+        column: Option<&str>,
+    ) -> WeightedMomentSketch {
+        use sciborq_columnar::{
+            multi_scan, numeric_source, CompiledPredicate, MultiScanItem, WeightedMomentSink,
+        };
+        let compiled = CompiledPredicate::compile(predicate, imp.data().schema()).unwrap();
+        let probs = imp.selection_probabilities();
+        let mut sink = match column {
+            None => WeightedMomentSink::counting(probs),
+            Some(name) => WeightedMomentSink::new(numeric_source(imp.data(), name).unwrap(), probs),
+        };
+        let mut items = [MultiScanItem {
+            predicate: &compiled,
+            sink: &mut sink,
+        }];
+        multi_scan(imp.data(), &mut items, None).remove(0).unwrap();
+        sink.sketch
+    }
+
     #[test]
     fn weighted_streamed_estimates_match_selection_estimates_bitwise() {
-        use sciborq_columnar::CompiledPredicate;
         let imp = impression_with(SamplingPolicy::biased(["ra"]));
         let predicate = Predicate::lt_eq("ra", 190.0);
         let sel = predicate.evaluate(imp.data()).unwrap();
-        let compiled = CompiledPredicate::compile(&predicate, imp.data().schema()).unwrap();
-        let probs = imp.selection_probabilities();
 
-        let (count_sketch, _) = compiled.count_weighted(imp.data(), probs).unwrap();
+        let count_sketch = weighted_sketch(&imp, &predicate, None);
         assert_eq!(
             imp.estimate_count(&sel).unwrap(),
-            imp.estimate_count_weighted(&count_sketch).unwrap()
+            imp.estimate_weighted_count(&count_sketch).unwrap()
         );
-        let (agg_sketch, _) = compiled
-            .filter_weighted_moments(imp.data(), "r_mag", probs)
-            .unwrap();
+        let agg_sketch = weighted_sketch(&imp, &predicate, Some("r_mag"));
         assert_eq!(
             imp.estimate_sum("r_mag", &sel).unwrap(),
-            imp.estimate_sum_weighted(&agg_sketch).unwrap()
+            imp.estimate_weighted_sum(&agg_sketch).unwrap()
         );
         assert_eq!(
             imp.estimate_avg("r_mag", &sel).unwrap(),
-            imp.estimate_avg_weighted(&agg_sketch).unwrap()
+            imp.estimate_weighted_avg(&agg_sketch).unwrap()
         );
         // the empty case mirrors the selection path: count/sum estimate 0,
         // avg errors
-        let none = CompiledPredicate::compile(&Predicate::False, imp.data().schema()).unwrap();
-        let (empty_count, _) = none.count_weighted(imp.data(), probs).unwrap();
+        let empty_count = weighted_sketch(&imp, &Predicate::False, None);
         assert_eq!(
             imp.estimate_count(&SelectionVector::empty()).unwrap(),
-            imp.estimate_count_weighted(&empty_count).unwrap()
+            imp.estimate_weighted_count(&empty_count).unwrap()
         );
-        let (empty_agg, _) = none
-            .filter_weighted_moments(imp.data(), "r_mag", probs)
-            .unwrap();
-        assert!(imp.estimate_avg_weighted(&empty_agg).is_err());
+        let empty_agg = weighted_sketch(&imp, &Predicate::False, Some("r_mag"));
+        assert!(imp.estimate_weighted_avg(&empty_agg).is_err());
     }
 
     #[test]

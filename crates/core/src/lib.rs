@@ -19,7 +19,8 @@
 //! * [`layer`] — recursive multi-layer hierarchies (§3.1 "Layers").
 //! * [`policy`] — uniform / Last-Seen / KDE-biased sampling policies.
 //! * [`engine`] — bounded query processing with error/runtime bounds and
-//!   escalation (§3.2).
+//!   escalation (§3.2); [`batch`] holds the one aggregate escalation loop,
+//!   shared scan passes and the degradation ladder included.
 //! * [`maintenance`] — workload-shift detection and adaptive rebuilding
 //!   (§3.1 "Adaptive").
 //! * [`session`] — the full exploration loop: log queries, adapt, load,

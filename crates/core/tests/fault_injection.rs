@@ -9,12 +9,12 @@
 #![cfg(feature = "fault-injection")]
 
 use sciborq_columnar::{
-    DataType, Field, Predicate, RecordBatchBuilder, Schema, SchemaRef, Table, Value,
+    AggregateKind, DataType, Field, Predicate, RecordBatchBuilder, Schema, SchemaRef, Table, Value,
 };
 use sciborq_core::answer::EvaluationLevel;
 use sciborq_core::engine::{BoundedQueryEngine, QueryBounds};
 use sciborq_core::layer::LayerHierarchy;
-use sciborq_core::{QueryExecution, SamplingPolicy, SciborqConfig, SciborqError};
+use sciborq_core::{ApproximateAnswer, SamplingPolicy, SciborqConfig, SciborqError};
 use sciborq_telemetry::faults::{self, FaultPlan, Trigger};
 use sciborq_telemetry::FaultEventKind;
 use sciborq_workload::Query;
@@ -97,40 +97,111 @@ fn engine() -> BoundedQueryEngine {
     BoundedQueryEngine::new(SciborqConfig::default()).unwrap()
 }
 
+/// An engine whose scans fan out over two shards wherever a level holds at
+/// least 2 × 4096 rows (the engine's minimum rows per shard).
+fn sharded_engine() -> BoundedQueryEngine {
+    BoundedQueryEngine::new(SciborqConfig::default().with_parallelism(2)).unwrap()
+}
+
+/// Assert that `answer` recorded exactly one fault event, at `site`.
+fn assert_one_event(answer: &ApproximateAnswer, site: &str, kind: FaultEventKind) {
+    assert_eq!(
+        answer.fault_events.len(),
+        1,
+        "events: {:?}",
+        answer.fault_events
+    );
+    assert_eq!(answer.fault_events[0].site, site);
+    assert_eq!(answer.fault_events[0].kind, kind);
+}
+
 /// Degradation ladder, first rung: a shard worker lost to a panic is redone
 /// with the serial kernel, bit-identically (kernel parity), and the recovery
 /// is recorded without flagging the answer degraded.
 #[test]
 fn shard_panic_falls_back_to_the_serial_kernel_bit_identically() {
     let _guard = serial();
-    // Big enough to fan out at parallelism 2 (the engine only shards levels
-    // of at least 4096 rows per shard).
-    let t = base_table(2 * 4096);
-    let serial_exec = QueryExecution::new(Predicate::lt("ra", 1_000.0));
-    let expected = serial_exec
-        .count_matches(EvaluationLevel::Layer(1), &t)
+    // The base table is big enough to fan out at parallelism 2; the layers
+    // are not, so the base pass is the query's only sharded scan.
+    let table = base_table(2 * 4096);
+    let h = hierarchy(&table, vec![800, 80]);
+    let query = Query::count("photoobj", Predicate::lt("ra", 180.0));
+    // the tiny bound forces escalation into the base data
+    let bounds = QueryBounds::max_error(1e-9);
+    let expected = sharded_engine()
+        .execute_aggregate(&query, &h, Some(&table), &bounds)
         .unwrap();
+    assert_eq!(expected.level, EvaluationLevel::BaseData);
+    assert_eq!(expected.level_scans.last().unwrap().shards, 2);
+    assert!(expected.fault_events.is_empty());
 
-    let exec = QueryExecution::with_parallelism(Predicate::lt("ra", 1_000.0), 2);
-    let count = with_plan(
+    let recovered = with_plan(
         FaultPlan::new(9).panic_at("scan.shard", Trigger::Nth(1)),
-        || exec.count_matches(EvaluationLevel::Layer(1), &t).unwrap(),
+        || sharded_engine().execute_aggregate(&query, &h, Some(&table), &bounds),
+    )
+    .unwrap();
+
+    assert_eq!(
+        recovered.value.map(f64::to_bits),
+        expected.value.map(f64::to_bits),
+        "recovered scan must be bit-identical"
+    );
+    assert_eq!(recovered.level, EvaluationLevel::BaseData);
+    assert_eq!(recovered.rows_scanned, expected.rows_scanned);
+    assert_eq!(
+        recovered.level_scans.last().unwrap().shards,
+        1,
+        "fallback ran serially"
+    );
+    assert!(!recovered.degraded, "a recovery is not a degradation");
+    assert_one_event(&recovered, "scan.shard", FaultEventKind::Recovery);
+}
+
+/// The shard rung on a shared pass: one sharded sweep serves every member,
+/// so one lost fan-out is redone serially for all of them — bit-identical
+/// answers, one recovery event each, nothing flagged degraded.
+#[test]
+fn shared_pass_shard_panic_recovers_every_member_bit_identically() {
+    let _guard = serial();
+    let table = base_table(2 * 4096);
+    let h = hierarchy(&table, vec![800, 80]);
+    let count = Query::count("photoobj", Predicate::lt("ra", 180.0));
+    let avg = Query::aggregate(
+        "photoobj",
+        Predicate::lt("ra", 90.0),
+        AggregateKind::Avg,
+        "r_mag",
+    );
+    let bounds = QueryBounds::max_error(1e-9);
+    let batch = [(&count, &bounds), (&avg, &bounds)];
+    let expected: Vec<ApproximateAnswer> = sharded_engine()
+        .execute_aggregate_batch(&batch, &h, Some(&table))
+        .into_iter()
+        .map(Result::unwrap)
+        .collect();
+
+    let recovered = with_plan(
+        FaultPlan::new(16).panic_at("scan.shard", Trigger::Nth(1)),
+        || sharded_engine().execute_aggregate_batch(&batch, &h, Some(&table)),
     );
 
-    assert_eq!(count, expected, "recovered scan must be bit-identical");
-    let scans = exec.take_level_scans();
-    assert_eq!(scans[0].shards, 1, "fallback ran serially");
-    let events = exec.take_fault_events();
-    assert_eq!(events.len(), 1);
-    assert_eq!(events[0].site, "scan.shard");
-    assert_eq!(events[0].kind, FaultEventKind::Recovery);
-
-    // A fresh scan with no plan installed fans out again, no events.
-    let exec = QueryExecution::with_parallelism(Predicate::lt("ra", 1_000.0), 2);
-    let count = exec.count_matches(EvaluationLevel::Layer(1), &t).unwrap();
-    assert_eq!(count, expected);
-    assert!(exec.take_fault_events().is_empty());
-    assert_eq!(exec.take_level_scans()[0].shards, 2);
+    assert_eq!(recovered.len(), expected.len());
+    for (answer, expected) in recovered.into_iter().zip(&expected) {
+        let answer = answer.unwrap();
+        assert_eq!(expected.level, EvaluationLevel::BaseData);
+        assert_eq!(expected.level_scans.last().unwrap().shards, 2);
+        assert_eq!(
+            answer.value.map(f64::to_bits),
+            expected.value.map(f64::to_bits),
+            "recovered shared pass must be bit-identical for {}",
+            answer.query
+        );
+        assert_eq!(answer.level, expected.level);
+        assert_eq!(answer.rows_scanned, expected.rows_scanned);
+        assert_eq!(answer.level_scans.last().unwrap().shards, 1);
+        assert!(!answer.degraded);
+        assert_one_event(&answer, "scan.shard", FaultEventKind::Recovery);
+    }
 }
 
 /// Degradation ladder, second rung: a whole level lost to a panic is
@@ -168,6 +239,46 @@ fn level_fault_degrades_to_the_next_level() {
     // Bounds stay honest: the verdict is measured on the layer actually
     // returned, which also meets the loose bound here.
     assert!(degraded.error_bound_met);
+}
+
+/// The level rung on a shared pass: the first pass serves every member, so
+/// losing it degrades them all — each answers from the next layer, flagged,
+/// with exactly one degradation event and honestly re-measured bounds.
+#[test]
+fn shared_pass_level_fault_degrades_every_member_to_the_next_level() {
+    let _guard = serial();
+    let table = base_table(20_000);
+    let h = hierarchy(&table, vec![2_000, 200]);
+    let count = Query::count("photoobj", Predicate::lt("ra", 180.0));
+    let sum = Query::aggregate(
+        "photoobj",
+        Predicate::lt("ra", 180.0),
+        AggregateKind::Sum,
+        "r_mag",
+    );
+    let bounds = QueryBounds::max_error(0.2);
+    let batch = [(&count, &bounds), (&sum, &bounds)];
+
+    // Oracle first: fault-free, both loose bounds are met on the smallest
+    // (200-row) layer.
+    for answer in engine().execute_aggregate_batch(&batch, &h, Some(&table)) {
+        let answer = answer.unwrap();
+        assert_eq!(answer.level, EvaluationLevel::Layer(2));
+        assert!(!answer.degraded);
+    }
+
+    let degraded = with_plan(
+        FaultPlan::new(15).panic_at("engine.level", Trigger::Nth(1)),
+        || engine().execute_aggregate_batch(&batch, &h, Some(&table)),
+    );
+    assert_eq!(degraded.len(), 2);
+    for answer in degraded {
+        let answer = answer.unwrap();
+        assert_eq!(answer.level, EvaluationLevel::Layer(1), "{}", answer.query);
+        assert!(answer.degraded);
+        assert_one_event(&answer, "engine.level", FaultEventKind::Degradation);
+        assert!(answer.error_bound_met);
+    }
 }
 
 /// When *every* rung of the ladder is lost, the query fails typed — the

@@ -188,7 +188,7 @@ fn main() {
     );
 
     let stdout = Arc::new(Mutex::new(std::io::stdout()));
-    let mut workers = Vec::new();
+    let mut workers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     for line in std::io::stdin().lock().lines() {
         let line = match line {
             Ok(line) => line,
@@ -199,6 +199,11 @@ fn main() {
         }
         let server = Arc::clone(&server);
         let stdout = Arc::clone(&stdout);
+        // Drop the handles of finished workers before spawning the next
+        // one: a finished thread is only reaped once its handle goes, so
+        // holding every handle until EOF kept one exited thread (and its
+        // stack mapping) alive per request until spawning failed.
+        workers.retain(|worker| !worker.is_finished());
         workers.push(std::thread::spawn(move || {
             let response = match protocol::parse_request(&line) {
                 Ok(protocol::Request::Query { id, query, bounds }) => {

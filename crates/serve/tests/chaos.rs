@@ -322,9 +322,10 @@ fn fixed_seed_storm_keeps_every_reply_bit_identical_or_typed() {
     let oracle = oracle();
 
     // A probabilistic storm with a deterministic backbone: EveryNth rules
-    // guarantee the storm fires (the shared-batch path only crosses
-    // `serve.scheduler`, so pure low-probability rules can miss entirely),
-    // while the wildcard probability rules spray every other seam.
+    // guarantee the storm fires (a shared batch crosses `serve.scheduler`
+    // once and `engine.level` once per shared level pass — few hits, which
+    // pure low-probability rules can miss entirely), while the wildcard
+    // probability rules spray every other seam.
     let plan = FaultPlan::new(0xC1D0)
         .panic_at("serve.scheduler", Trigger::EveryNth(2))
         .panic_at("engine.level", Trigger::EveryNth(4))
