@@ -1,9 +1,10 @@
 //! Reproductions of every figure of the paper plus the quantitative claims
-//! made in the text (see DESIGN.md §3 for the experiment index).
+//! made in the text. The experiment index is the name list of the
+//! `experiments` binary (`src/bin/experiments.rs`).
 //!
 //! Each function prints a human-readable report and returns a small summary
-//! struct so that tests (and EXPERIMENTS.md) can check the *shape* of the
-//! result: who wins, by roughly what factor, and where the crossovers fall.
+//! struct so that tests can check the *shape* of the result: who wins, by
+//! roughly what factor, and where the crossovers fall.
 
 use crate::setup::{build_dataset, build_predicate_set, render_histogram, Scale};
 use sciborq_columnar::Table;

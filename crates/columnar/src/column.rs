@@ -118,6 +118,16 @@ impl Bitmap {
         self.zeros
     }
 
+    /// The bits at the given positions (each `< len`), in the given order.
+    pub fn gather(&self, rows: &[usize]) -> Bitmap {
+        if self.zeros == 0 {
+            return Bitmap::with_len(rows.len(), true);
+        }
+        let mut out = Bitmap::new();
+        rows.iter().for_each(|&row| out.push(self.get(row)));
+        out
+    }
+
     /// The packed 64-bit words backing the bitmap. Word `w` holds rows
     /// `[w*64, w*64+64)`; bits at positions `>= len` are guaranteed zero.
     pub fn words(&self) -> &[u64] {
@@ -505,39 +515,46 @@ impl Column {
         Ok(())
     }
 
-    /// Produce a new column containing only the rows at the given positions.
+    /// Produce a new column containing the rows at the given positions, in
+    /// the given order.
     ///
-    /// A dictionary-encoded column stays dictionary-encoded: the codes are
-    /// gathered and the dictionary cloned wholesale, with no per-row string
-    /// clones or binary searches.
+    /// Values are copied straight from the typed vectors (NULL slots hold
+    /// the type's default, as the variants require). A dictionary-encoded
+    /// column stays dictionary-encoded: the codes are gathered and the
+    /// dictionary cloned wholesale, with no per-row string clones or binary
+    /// searches.
     pub fn gather(&self, rows: &[usize]) -> Result<Column> {
-        if let Column::Utf8Dict {
-            codes,
-            dict,
-            validity,
-        } = self
-        {
-            let mut out_codes = Vec::with_capacity(rows.len());
-            let mut out_validity = Bitmap::new();
-            for &row in rows {
-                if row >= codes.len() {
-                    return Err(ColumnarError::RowOutOfBounds {
-                        row,
-                        len: codes.len(),
-                    });
-                }
-                out_codes.push(codes[row]);
-                out_validity.push(validity.get(row));
-            }
-            return Ok(Column::Utf8Dict {
-                codes: out_codes,
-                dict: dict.clone(),
-                validity: out_validity,
-            });
+        let len = self.len();
+        if let Some(&row) = rows.iter().find(|&&row| row >= len) {
+            return Err(ColumnarError::RowOutOfBounds { row, len });
         }
-        let mut out = Column::with_capacity(self.data_type(), rows.len());
-        out.extend_gather(self, rows)?;
-        Ok(out)
+        fn pick<T: Clone>(values: &[T], rows: &[usize]) -> Vec<T> {
+            rows.iter().map(|&row| values[row].clone()).collect()
+        }
+        let validity = self.validity().gather(rows);
+        Ok(match self {
+            Column::Int64 { values, .. } => Column::Int64 {
+                values: pick(values, rows),
+                validity,
+            },
+            Column::Float64 { values, .. } => Column::Float64 {
+                values: pick(values, rows),
+                validity,
+            },
+            Column::Bool { values, .. } => Column::Bool {
+                values: pick(values, rows),
+                validity,
+            },
+            Column::Utf8 { values, .. } => Column::Utf8 {
+                values: pick(values, rows),
+                validity,
+            },
+            Column::Utf8Dict { codes, dict, .. } => Column::Utf8Dict {
+                codes: pick(codes, rows),
+                dict: dict.clone(),
+                validity,
+            },
+        })
     }
 
     /// Iterate over the column as `Option<f64>` (None for NULL and
@@ -778,6 +795,24 @@ mod tests {
         let g = c.gather(&[1, 0]).unwrap();
         assert!(g.is_null(0));
         assert!(!g.is_null(1));
+        // every type gathers exactly what pushing the values one by one
+        // builds, NULL slots (stored as the type's default) included
+        let columns: [(DataType, [Value; 3]); 4] = [
+            (DataType::Int64, [7.into(), Value::Null, (-3).into()]),
+            (DataType::Float64, [Value::Null, 2.5.into(), (-0.0).into()]),
+            (DataType::Bool, [true.into(), Value::Null, false.into()]),
+            (DataType::Utf8, ["a".into(), Value::Null, "bc".into()]),
+        ];
+        let rows = [2, 1, 1, 0];
+        for (data_type, values) in columns {
+            let mut c = Column::new(data_type);
+            for v in &values {
+                c.push(v).unwrap();
+            }
+            let mut expected = Column::new(data_type);
+            expected.extend_gather(&c, &rows).unwrap();
+            assert_eq!(c.gather(&rows).unwrap(), expected, "{data_type:?}");
+        }
     }
 
     #[test]

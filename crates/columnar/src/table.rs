@@ -14,8 +14,8 @@ use std::sync::Arc;
 
 /// A batch of rows destined for a table, organised column-wise.
 ///
-/// Batches are the unit of incremental load. The same batches that are
-/// appended to a base table are also streamed through the impression
+/// Batches are the unit of incremental load. The rows a batch appends to a
+/// base table are then streamed, by row id, through the impression
 /// builders, mirroring the paper's "construction algorithms reside in the
 /// load process".
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -271,9 +271,9 @@ impl Table {
         self.columns.iter().map(|c| c.get(idx)).collect()
     }
 
-    /// Materialise the rows of a selection into a new table.
-    pub fn gather(&self, selection: &SelectionVector, name: impl Into<String>) -> Result<Table> {
-        let rows = selection.rows();
+    /// Materialise the rows at the given positions, in the given order, into
+    /// a new table (pass [`SelectionVector::rows`] to gather a selection).
+    pub fn gather(&self, rows: &[usize], name: impl Into<String>) -> Result<Table> {
         let columns: Result<Vec<Column>> = self.columns.iter().map(|c| c.gather(rows)).collect();
         Ok(Table {
             name: name.into(),
@@ -307,16 +307,6 @@ impl Table {
             return Err(ColumnarError::NotNumeric(column.to_owned()));
         }
         Ok(selection.iter().filter_map(|i| col.get_f64(i)).collect())
-    }
-
-    /// Convert the entire table into a single record batch (used when
-    /// replaying existing base data through impression builders).
-    pub fn to_batch(&self) -> RecordBatch {
-        RecordBatch {
-            schema: Arc::clone(&self.schema),
-            columns: self.columns.clone(),
-            rows: self.rows,
-        }
     }
 
     /// Dictionary-encode every plain Utf8 column whose distinct-value count
@@ -560,12 +550,17 @@ mod tests {
         let mut t = Table::new("photoobj", schema());
         t.append_batch(&sample_batch(10)).unwrap();
         let sel = SelectionVector::from_rows(vec![0, 3, 9]);
-        let g = t.gather(&sel, "sample").unwrap();
+        let g = t.gather(sel.rows(), "sample").unwrap();
         assert_eq!(g.row_count(), 3);
         assert_eq!(g.name(), "sample");
         assert_eq!(g.row(2).unwrap()[0], Value::Int64(9));
         // schema is shared
         assert!(Arc::ptr_eq(t.schema(), g.schema()));
+        // the given order is kept, so reservoirs can gather in sample order
+        let shuffled = t.gather(&[9, 0, 3], "shuffled").unwrap();
+        assert_eq!(shuffled.row(0).unwrap(), t.row(9).unwrap());
+        assert_eq!(shuffled.row(2).unwrap(), t.row(3).unwrap());
+        assert!(t.gather(&[10], "oob").is_err());
     }
 
     #[test]
@@ -601,18 +596,6 @@ mod tests {
             t.numeric_values("class", &SelectionVector::all(1)),
             Err(ColumnarError::NotNumeric(_))
         ));
-    }
-
-    #[test]
-    fn table_to_batch_roundtrip() {
-        let mut t = Table::new("photoobj", schema());
-        t.append_batch(&sample_batch(6)).unwrap();
-        let b = t.to_batch();
-        assert_eq!(b.row_count(), 6);
-        let mut t2 = Table::new("copy", Arc::clone(t.schema()));
-        t2.append_batch(&b).unwrap();
-        assert_eq!(t2.row_count(), t.row_count());
-        assert_eq!(t2.row(3).unwrap(), t.row(3).unwrap());
     }
 
     #[test]

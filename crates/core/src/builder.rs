@@ -6,30 +6,37 @@
 //! much like a stream, and deciding if it should be part of an impression or
 //! not."
 //!
-//! The [`ImpressionBuilder`] is exactly that: it is fed the same
-//! [`RecordBatch`]es that are appended to the base table (or the rows of the
-//! impression one layer below), decides tuple by tuple, and finally
-//! materialises an [`Impression`].
+//! The [`ImpressionBuilder`] is exactly that: it is shown the rows of the
+//! base table as they are appended (or the sample of the layer below),
+//! decides tuple by tuple, and finally materialises an [`Impression`].
+//!
+//! A reservoir's keep-or-evict decision depends only on the stream position
+//! and the tuple's interest weight, never on the tuple itself (Vitter 1985),
+//! so the builder remembers *which* base rows it keeps — a base row id plus
+//! its effective weight — rather than copies of the rows. Materialising is
+//! one order-preserving columnar gather of those ids from the base table.
 
 use crate::error::{Result, SciborqError};
 use crate::impression::Impression;
 use crate::policy::SamplingPolicy;
-use sciborq_columnar::{RecordBatch, SchemaRef, Table, Value};
+use sciborq_columnar::{ColumnarError, SchemaRef, Table};
 use sciborq_sampling::{
     BiasedReservoir, LastSeenReservoir, Reservoir, SampledItem, SamplingStrategy,
 };
 use sciborq_workload::PredicateSet;
+use std::ops::Range;
 
-/// The concrete reservoir behind a builder, selected by the policy.
+/// The concrete reservoir behind a builder, selected by the policy. Items
+/// are base-table row ids.
 #[derive(Debug, Clone)]
 enum Sampler {
-    Uniform(Reservoir<Vec<Value>>),
-    LastSeen(LastSeenReservoir<Vec<Value>>),
-    Biased(BiasedReservoir<Vec<Value>>),
+    Uniform(Reservoir<usize>),
+    LastSeen(LastSeenReservoir<usize>),
+    Biased(BiasedReservoir<usize>),
 }
 
 impl Sampler {
-    fn observe(&mut self, row: Vec<Value>, weight: f64) {
+    fn observe(&mut self, row: usize, weight: f64) {
         match self {
             Sampler::Uniform(r) => r.observe_weighted(row, weight),
             Sampler::LastSeen(r) => r.observe_weighted(row, weight),
@@ -37,7 +44,7 @@ impl Sampler {
         }
     }
 
-    fn sample(&self) -> &[SampledItem<Vec<Value>>] {
+    fn sample(&self) -> &[SampledItem<usize>] {
         match self {
             Sampler::Uniform(r) => r.sample(),
             Sampler::LastSeen(r) => r.sample(),
@@ -56,9 +63,10 @@ impl Sampler {
 
 /// A streaming impression builder.
 ///
-/// The builder can be kept alive across incremental loads: every new batch is
-/// pushed through [`ImpressionBuilder::observe_batch`] and a fresh snapshot
-/// can be materialised at any time with [`ImpressionBuilder::materialize`].
+/// The builder can be kept alive across incremental loads: the rows every
+/// load appends to the base table are pushed through
+/// [`ImpressionBuilder::observe`], and a fresh snapshot can be materialised
+/// from the base table at any time with [`ImpressionBuilder::materialize`].
 #[derive(Debug, Clone)]
 pub struct ImpressionBuilder {
     name: String,
@@ -88,64 +96,6 @@ impl ImpressionBuilder {
         layer: usize,
         seed: u64,
     ) -> Result<Self> {
-        Self::build(
-            name,
-            source_table,
-            schema,
-            policy,
-            capacity,
-            layer,
-            seed,
-            false,
-        )
-    }
-
-    /// Create a builder for a *derived* layer: one that samples the
-    /// materialised impression one layer below rather than the base stream.
-    ///
-    /// Derived layers always subsample their parent **uniformly**, whatever
-    /// the hierarchy's policy. The parent's composition is already shaped by
-    /// the policy (biased towards the workload's focal regions, say), and a
-    /// uniform subsample preserves that composition — the paper's "the focal
-    /// point of the larger impression is inherited by the smaller". Applying
-    /// a biased sampler a second time would square the inclusion
-    /// probabilities (∝ w² instead of ∝ w) and silently break the
-    /// Hansen–Hurwitz correction, which assumes a single w-proportional
-    /// stage. The builder still records each retained row's interest weight
-    /// so the weighted estimators stay applicable.
-    #[allow(clippy::too_many_arguments)]
-    pub fn derived(
-        name: impl Into<String>,
-        source_table: impl Into<String>,
-        schema: SchemaRef,
-        policy: SamplingPolicy,
-        capacity: usize,
-        layer: usize,
-        seed: u64,
-    ) -> Result<Self> {
-        Self::build(
-            name,
-            source_table,
-            schema,
-            policy,
-            capacity,
-            layer,
-            seed,
-            true,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        name: impl Into<String>,
-        source_table: impl Into<String>,
-        schema: SchemaRef,
-        policy: SamplingPolicy,
-        capacity: usize,
-        layer: usize,
-        seed: u64,
-        derived: bool,
-    ) -> Result<Self> {
         policy.validate().map_err(SciborqError::InvalidConfig)?;
         if capacity == 0 {
             return Err(SciborqError::InvalidConfig(
@@ -154,7 +104,6 @@ impl ImpressionBuilder {
         }
         let sampler = match &policy {
             SamplingPolicy::Uniform => Sampler::Uniform(Reservoir::new(capacity, seed)),
-            _ if derived => Sampler::Uniform(Reservoir::new(capacity, seed)),
             SamplingPolicy::LastSeen {
                 fresh_fraction,
                 daily_ingest,
@@ -191,6 +140,41 @@ impl ImpressionBuilder {
         })
     }
 
+    /// Derive the builder of a smaller layer: a reservoir of `capacity`
+    /// (positive) rows fed this builder's sample — its base row ids, in
+    /// sample order, with the effective weights they carry.
+    ///
+    /// Derived layers always subsample their parent **uniformly**, whatever
+    /// the hierarchy's policy. The parent's composition is already shaped by
+    /// the policy (biased towards the workload's focal regions, say), and a
+    /// uniform subsample preserves that composition — the paper's "the focal
+    /// point of the larger impression is inherited by the smaller". Applying
+    /// a biased sampler a second time would square the inclusion
+    /// probabilities (∝ w² instead of ∝ w) and silently break the
+    /// Hansen–Hurwitz correction, which assumes a single w-proportional
+    /// stage. The derived builder inherits each row's weight verbatim
+    /// rather than recomputing it, so the weighted estimators stay
+    /// applicable.
+    pub(crate) fn derive(&self, name: String, capacity: usize, layer: usize, seed: u64) -> Self {
+        let mut derived = ImpressionBuilder {
+            name,
+            source_table: self.source_table.clone(),
+            schema: self.schema.clone(),
+            policy: self.policy.clone(),
+            layer,
+            capacity,
+            sampler: Sampler::Uniform(Reservoir::new(capacity, seed)),
+            total_observed_weight: 0.0,
+            raw_weight_sum: 0.0,
+            bias_columns: Vec::new(),
+        };
+        for item in self.sampler.sample() {
+            derived.total_observed_weight += item.weight;
+            derived.sampler.observe(item.item, item.weight);
+        }
+        derived
+    }
+
     /// The impression name this builder produces.
     pub fn name(&self) -> &str {
         &self.name
@@ -211,9 +195,9 @@ impl ImpressionBuilder {
         &self.policy
     }
 
-    /// The interest weight of a row under the current predicate set: 1 for
-    /// non-biased policies, the combined KDE weight otherwise.
-    fn row_weight(&self, row: &[Value], predicate_set: Option<&PredicateSet>) -> f64 {
+    /// The interest weight of base row `row` under the current predicate
+    /// set: 1 for non-biased policies, the combined KDE weight otherwise.
+    fn row_weight(&self, table: &Table, row: usize, predicate_set: Option<&PredicateSet>) -> f64 {
         if self.bias_columns.is_empty() {
             return 1.0;
         }
@@ -224,8 +208,9 @@ impl ImpressionBuilder {
             .bias_columns
             .iter()
             .filter_map(|(name, idx)| {
-                row.get(*idx)
-                    .and_then(Value::as_f64)
+                table
+                    .column_at(*idx)
+                    .and_then(|col| col.get_f64(row))
                     .map(|v| (name.as_str(), v))
             })
             .collect();
@@ -234,24 +219,6 @@ impl ImpressionBuilder {
         } else {
             ps.combined_weight(&tuple)
         }
-    }
-
-    /// Observe one row of an incremental load.
-    pub fn observe_row(&mut self, row: Vec<Value>, predicate_set: Option<&PredicateSet>) {
-        let weight = self.row_weight(&row, predicate_set);
-        let weight = self.effective_weight(weight);
-        self.observe_row_weighted(row, weight);
-    }
-
-    /// Observe one row with an externally supplied *effective* weight,
-    /// bypassing the normalisation bookkeeping of [`Self::observe_row`].
-    /// Crate-internal on purpose: only layer derivation may use it (derived
-    /// builders sample uniformly and inherit the parent's weights verbatim);
-    /// mixing it with `observe_row` on a root biased builder would skew the
-    /// running-mean normalisation.
-    pub(crate) fn observe_row_weighted(&mut self, row: Vec<Value>, weight: f64) {
-        self.total_observed_weight += weight;
-        self.sampler.observe(row, weight);
     }
 
     /// Turn a raw KDE interest weight into the *effective* weight the
@@ -300,75 +267,60 @@ impl ImpressionBuilder {
         relative.min(cnt_next / self.capacity as f64)
     }
 
-    /// Observe every row of a batch (the incremental-load entry point).
-    pub fn observe_batch(
-        &mut self,
-        batch: &RecordBatch,
-        predicate_set: Option<&PredicateSet>,
-    ) -> Result<()> {
-        if batch.schema().fields() != self.schema.fields() {
-            return Err(SciborqError::Columnar(
-                sciborq_columnar::ColumnarError::SchemaMismatch(format!(
-                    "batch schema {} does not match impression schema {}",
-                    batch.schema(),
-                    self.schema
-                )),
-            ));
-        }
-        // Value-independent fast path: a uniform reservoir's accept/evict
-        // decision depends only on the stream position, and the weight is a
-        // constant 1 whenever no bias steering applies — so the boxed row is
-        // materialised only when the reservoir actually retains it, instead
-        // of cloning every row just to throw most of them away. RNG
-        // consumption matches the row-at-a-time path exactly, so the
-        // resulting impression is bit-identical.
-        let value_independent = matches!(self.sampler, Sampler::Uniform(_))
-            && (self.bias_columns.is_empty() || predicate_set.is_none());
-        if value_independent {
-            let Sampler::Uniform(reservoir) = &mut self.sampler else {
-                unreachable!("checked just above");
-            };
-            for idx in 0..batch.row_count() {
-                self.total_observed_weight += 1.0;
-                reservoir.observe_with(1.0, || {
-                    batch.row(idx).expect("row index within batch bounds")
-                });
-            }
-            return Ok(());
-        }
-        for idx in 0..batch.row_count() {
-            let row = batch.row(idx)?;
-            self.observe_row(row, predicate_set);
+    fn check_schema(&self, table: &Table) -> Result<()> {
+        if table.schema().fields() != self.schema.fields() {
+            return Err(ColumnarError::SchemaMismatch(format!(
+                "table schema {} does not match impression schema {}",
+                table.schema(),
+                self.schema
+            ))
+            .into());
         }
         Ok(())
     }
 
-    /// Observe every row of an existing table (extraction from a database
-    /// that is already loaded, the paper's second deployment mode).
-    pub fn observe_table(
+    /// Observe rows `rows` of the base table, in order: the rows one
+    /// incremental load appended, or `0..row_count()` to extract an
+    /// impression from data that is already loaded (the paper's second
+    /// deployment mode).
+    pub fn observe(
         &mut self,
         table: &Table,
+        rows: Range<usize>,
         predicate_set: Option<&PredicateSet>,
     ) -> Result<()> {
-        self.observe_batch(&table.to_batch(), predicate_set)
+        self.check_schema(table)?;
+        if rows.end > table.row_count() {
+            return Err(ColumnarError::RowOutOfBounds {
+                row: rows.end - 1,
+                len: table.row_count(),
+            }
+            .into());
+        }
+        for row in rows {
+            let weight = self.row_weight(table, row, predicate_set);
+            let weight = self.effective_weight(weight);
+            self.total_observed_weight += weight;
+            self.sampler.observe(row, weight);
+        }
+        Ok(())
     }
 
-    /// Materialise the current reservoir contents into an [`Impression`].
+    /// Materialise the current reservoir contents into an [`Impression`]
+    /// by gathering the sampled rows, in reservoir order, from `base` — the
+    /// table whose rows this builder observed.
     ///
     /// The builder keeps its state, so construction can continue with later
     /// loads and a fresher impression can be materialised again.
-    pub fn materialize(&self) -> Result<Impression> {
+    pub fn materialize(&self, base: &Table) -> Result<Impression> {
+        self.check_schema(base)?;
         let items = self.sampler.sample();
-        let mut table = Table::with_capacity(self.name.clone(), self.schema.clone(), items.len());
-        let mut weights = Vec::with_capacity(items.len());
-        for item in items {
-            table.append_row(&item.item)?;
-            weights.push(item.weight);
-        }
+        let rows: Vec<usize> = items.iter().map(|item| item.item).collect();
+        let weights = items.iter().map(|item| item.weight).collect();
         Impression::new(
             self.name.clone(),
             self.source_table.clone(),
-            table,
+            base.gather(&rows, self.name.clone())?,
             weights,
             self.total_observed_weight,
             self.sampler.observed(),
@@ -381,7 +333,7 @@ impl ImpressionBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sciborq_columnar::{DataType, Field, Predicate, RecordBatchBuilder, Schema};
+    use sciborq_columnar::{DataType, Field, Predicate, RecordBatchBuilder, Schema, Value};
     use sciborq_workload::AttributeDomain;
 
     fn schema() -> SchemaRef {
@@ -393,7 +345,9 @@ mod tests {
         .unwrap()
     }
 
-    fn batch(start: i64, rows: usize) -> RecordBatch {
+    /// Append `rows` rows with objids from `start` to `table`, returning
+    /// the range of base row ids they occupy.
+    fn append(table: &mut Table, start: i64, rows: usize) -> Range<usize> {
         let mut b = RecordBatchBuilder::with_capacity(schema(), rows);
         for i in 0..rows as i64 {
             let objid = start + i;
@@ -410,7 +364,15 @@ mod tests {
             ])
             .unwrap();
         }
-        b.finish().unwrap()
+        let from = table.row_count();
+        table.append_batch(&b.finish().unwrap()).unwrap();
+        from..table.row_count()
+    }
+
+    fn table(rows: usize) -> Table {
+        let mut t = Table::new("photoobj", schema());
+        append(&mut t, 1, rows);
+        t
     }
 
     fn focused_predicate_set() -> PredicateSet {
@@ -471,10 +433,11 @@ mod tests {
             7,
         )
         .unwrap();
-        b.observe_batch(&batch(1, 5_000), None).unwrap();
+        let base = table(5_000);
+        b.observe(&base, 0..5_000, None).unwrap();
         assert_eq!(b.observed(), 5_000);
         assert_eq!(b.capacity(), 100);
-        let imp = b.materialize().unwrap();
+        let imp = b.materialize(&base).unwrap();
         assert_eq!(imp.row_count(), 100);
         assert_eq!(imp.source_rows(), 5_000);
         assert_eq!(imp.name(), "photoobj.l1");
@@ -484,54 +447,43 @@ mod tests {
 
     #[test]
     fn lazy_batch_path_is_bit_identical_to_row_at_a_time() {
-        // observe_batch takes the value-independent fast path for uniform
-        // builders; the retained sample must match feeding the same rows
-        // through observe_row one by one.
-        let mut batched = ImpressionBuilder::new(
-            "a",
-            "photoobj",
-            schema(),
-            SamplingPolicy::Uniform,
-            64,
-            1,
-            17,
-        )
-        .unwrap();
-        let mut row_wise = ImpressionBuilder::new(
-            "a",
-            "photoobj",
-            schema(),
-            SamplingPolicy::Uniform,
-            64,
-            1,
-            17,
-        )
-        .unwrap();
-        let b = batch(1, 4_000);
-        batched.observe_batch(&b, None).unwrap();
-        for idx in 0..b.row_count() {
-            row_wise.observe_row(b.row(idx).unwrap(), None);
+        // Rows are only gathered at materialisation; observing a whole
+        // range in one call must retain exactly what feeding the same rows
+        // one at a time retains, weights and normaliser included.
+        let ps = focused_predicate_set();
+        let base = table(4_000);
+        for policy in [SamplingPolicy::Uniform, SamplingPolicy::biased(["ra"])] {
+            let make =
+                || ImpressionBuilder::new("a", "photoobj", schema(), policy.clone(), 64, 1, 17);
+            let (mut batched, mut row_wise) = (make().unwrap(), make().unwrap());
+            batched.observe(&base, 0..4_000, Some(&ps)).unwrap();
+            for row in 0..4_000 {
+                row_wise.observe(&base, row..row + 1, Some(&ps)).unwrap();
+            }
+            let from_batch = batched.materialize(&base).unwrap();
+            let from_rows = row_wise.materialize(&base).unwrap();
+            assert_eq!(from_batch.data(), from_rows.data());
+            assert_eq!(from_batch.weights(), from_rows.weights());
+            assert_eq!(from_batch.source_rows(), from_rows.source_rows());
+            assert_eq!(
+                from_batch.total_observed_weight(),
+                from_rows.total_observed_weight()
+            );
         }
-        let from_batch = batched.materialize().unwrap();
-        let from_rows = row_wise.materialize().unwrap();
-        assert_eq!(from_batch.data(), from_rows.data());
-        assert_eq!(from_batch.weights(), from_rows.weights());
-        assert_eq!(from_batch.source_rows(), from_rows.source_rows());
-        assert_eq!(
-            from_batch.total_observed_weight(),
-            from_rows.total_observed_weight()
-        );
     }
 
     #[test]
     fn builder_rejects_mismatched_batches() {
         let other_schema = Schema::shared(vec![Field::new("x", DataType::Int64)]).unwrap();
-        let mut wrong = RecordBatchBuilder::new(other_schema);
-        wrong.push_row(&[Value::Int64(1)]).unwrap();
-        let wrong = wrong.finish().unwrap();
+        let mut wrong = Table::new("other", other_schema);
+        wrong.append_row(&[Value::Int64(1)]).unwrap();
         let mut b =
             ImpressionBuilder::new("i", "t", schema(), SamplingPolicy::Uniform, 10, 1, 1).unwrap();
-        assert!(b.observe_batch(&wrong, None).is_err());
+        assert!(b.observe(&wrong, 0..1, None).is_err());
+        assert!(b.materialize(&wrong).is_err());
+        // a range past the end of the table is refused, not truncated
+        assert!(b.observe(&table(10), 5..11, None).is_err());
+        assert_eq!(b.observed(), 0);
     }
 
     #[test]
@@ -539,11 +491,14 @@ mod tests {
         let mut b =
             ImpressionBuilder::new("i", "photoobj", schema(), SamplingPolicy::Uniform, 50, 1, 3)
                 .unwrap();
-        b.observe_batch(&batch(1, 1_000), None).unwrap();
-        let first = b.materialize().unwrap();
+        let mut base = Table::new("photoobj", schema());
+        let first_load = append(&mut base, 1, 1_000);
+        b.observe(&base, first_load, None).unwrap();
+        let first = b.materialize(&base).unwrap();
         assert_eq!(first.source_rows(), 1_000);
-        b.observe_batch(&batch(1_001, 1_000), None).unwrap();
-        let second = b.materialize().unwrap();
+        let second_load = append(&mut base, 1_001, 1_000);
+        b.observe(&base, second_load, None).unwrap();
+        let second = b.materialize(&base).unwrap();
         assert_eq!(second.source_rows(), 2_000);
         assert_eq!(second.row_count(), 50);
         // the refreshed impression must contain some tuples from the new load
@@ -576,17 +531,17 @@ mod tests {
             11,
         )
         .unwrap();
-        let big = batch(1, 30_000);
-        biased.observe_batch(&big, Some(&ps)).unwrap();
-        uniform.observe_batch(&big, Some(&ps)).unwrap();
+        let big = table(30_000);
+        biased.observe(&big, 0..30_000, Some(&ps)).unwrap();
+        uniform.observe(&big, 0..30_000, Some(&ps)).unwrap();
         let focal = Predicate::between("ra", 183.0, 189.0);
         let biased_share = focal
-            .evaluate(biased.materialize().unwrap().data())
+            .evaluate(biased.materialize(&big).unwrap().data())
             .unwrap()
             .len() as f64
             / 200.0;
         let uniform_share = focal
-            .evaluate(uniform.materialize().unwrap().data())
+            .evaluate(uniform.materialize(&big).unwrap().data())
             .unwrap()
             .len() as f64
             / 200.0;
@@ -608,8 +563,9 @@ mod tests {
             5,
         )
         .unwrap();
-        b.observe_batch(&batch(1, 1_000), None).unwrap();
-        let imp = b.materialize().unwrap();
+        let base = table(1_000);
+        b.observe(&base, 0..1_000, None).unwrap();
+        let imp = b.materialize(&base).unwrap();
         assert_eq!(imp.row_count(), 50);
         assert!(imp.weights().iter().all(|&w| w == 1.0));
     }
@@ -626,11 +582,12 @@ mod tests {
             13,
         )
         .unwrap();
+        let mut base = Table::new("photoobj", schema());
         for day in 0..20i64 {
-            b.observe_batch(&batch(day * 1_000 + 1, 1_000), None)
-                .unwrap();
+            let load = append(&mut base, day * 1_000 + 1, 1_000);
+            b.observe(&base, load, None).unwrap();
         }
-        let imp = b.materialize().unwrap();
+        let imp = b.materialize(&base).unwrap();
         let recent = Predicate::gt("objid", 15_000).evaluate(imp.data()).unwrap();
         assert!(
             recent.len() as f64 / imp.row_count() as f64 > 0.5,
@@ -640,13 +597,12 @@ mod tests {
 
     #[test]
     fn observe_table_extracts_from_existing_data() {
-        let mut base = Table::new("photoobj", schema());
-        base.append_batch(&batch(1, 500)).unwrap();
+        let base = table(500);
         let mut b =
             ImpressionBuilder::new("i", "photoobj", schema(), SamplingPolicy::Uniform, 20, 1, 9)
                 .unwrap();
-        b.observe_table(&base, None).unwrap();
-        let imp = b.materialize().unwrap();
+        b.observe(&base, 0..base.row_count(), None).unwrap();
+        let imp = b.materialize(&base).unwrap();
         assert_eq!(imp.row_count(), 20);
         assert_eq!(imp.source_rows(), 500);
     }
@@ -664,8 +620,9 @@ mod tests {
             21,
         )
         .unwrap();
-        b.observe_batch(&batch(1, 5_000), Some(&ps)).unwrap();
-        let imp = b.materialize().unwrap();
+        let base = table(5_000);
+        b.observe(&base, 0..5_000, Some(&ps)).unwrap();
+        let imp = b.materialize(&base).unwrap();
         assert_eq!(imp.weights().len(), imp.row_count());
         // retained focal tuples should carry higher weights than background ones
         let focal_sel = Predicate::between("ra", 183.0, 189.0)

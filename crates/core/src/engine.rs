@@ -229,7 +229,7 @@ impl BoundedQueryEngine {
                 }
                 let result = impression
                     .data()
-                    .gather(&selection, format!("{}.result", impression.name()))?;
+                    .gather(selection.rows(), format!("{}.result", impression.name()))?;
                 let got_enough = result.row_count() >= wanted || enough && query.limit.is_none();
                 Ok((result, estimated, got_enough))
             }));
@@ -286,7 +286,8 @@ impl BoundedQueryEngine {
                     if let Some(limit) = query.limit {
                         selection.truncate(limit);
                     }
-                    let rows = table.gather(&selection, format!("{}.result", table.name()))?;
+                    let rows =
+                        table.gather(selection.rows(), format!("{}.result", table.name()))?;
                     Ok((rows, total))
                 }));
                 match attempt {

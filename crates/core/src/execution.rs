@@ -231,7 +231,10 @@ mod tests {
     fn compiles_once_across_levels_with_shared_schema() {
         let big = table(100);
         let small = big
-            .gather(&Predicate::lt("ra", 50.0).evaluate(&big).unwrap(), "small")
+            .gather(
+                Predicate::lt("ra", 50.0).evaluate(&big).unwrap().rows(),
+                "small",
+            )
             .unwrap();
         let exec = QueryExecution::new(Predicate::lt("ra", 10.0));
         let a = exec.selection(EvaluationLevel::Layer(2), &small).unwrap();

@@ -8,16 +8,20 @@
 //! efficient to maintain since they only touch the data of the impression one
 //! layer below, and not the entire base."
 //!
-//! A [`LayerHierarchy`] owns one [`ImpressionBuilder`] per layer: layer 1
-//! samples the base table's loads directly; layer *k+1* samples the
-//! materialised data of layer *k*.
+//! A [`LayerHierarchy`] owns the [`ImpressionBuilder`] of layer 1, which
+//! samples the base table's loads directly and always covers a prefix of
+//! the table, in table order. Layer *k+1* is derived on every
+//! refresh by uniformly subsampling layer *k*'s sample — its base row ids
+//! and weights, in order — so no layer ever copies rows to build the next.
+//! Every layer is then materialised by gathering its row ids from the base
+//! table.
 
 use crate::builder::ImpressionBuilder;
 use crate::config::SciborqConfig;
 use crate::error::{Result, SciborqError};
 use crate::impression::Impression;
 use crate::policy::SamplingPolicy;
-use sciborq_columnar::{RecordBatch, SchemaRef, Table};
+use sciborq_columnar::{SchemaRef, Table};
 use sciborq_workload::PredicateSet;
 
 /// A hierarchy of impressions over one base table.
@@ -59,6 +63,11 @@ impl LayerHierarchy {
                 "layer sizes must be non-increasing".to_owned(),
             ));
         }
+        if layer_sizes.contains(&0) {
+            return Err(SciborqError::InvalidConfig(
+                "impression capacity must be positive".to_owned(),
+            ));
+        }
         let source_table = source_table.into();
         let root_builder = ImpressionBuilder::new(
             format!("{source_table}.layer1.{}", policy.name()),
@@ -96,8 +105,8 @@ impl LayerHierarchy {
             &config.layer_sizes,
             config.seed,
         )?;
-        hierarchy.observe_batch(&table.to_batch(), predicate_set)?;
-        hierarchy.refresh()?;
+        hierarchy.observe_appended(table, predicate_set)?;
+        hierarchy.refresh(table)?;
         Ok(hierarchy)
     }
 
@@ -126,60 +135,61 @@ impl LayerHierarchy {
         self.root_builder.observed()
     }
 
-    /// Feed one incremental-load batch through layer 1.
+    /// Feed the rows appended to the base table since layer 1 last saw it
+    /// — rows `observed_rows()..table.row_count()` — through layer 1.
     ///
-    /// Derived layers become stale; call [`LayerHierarchy::refresh`] to
-    /// rebuild them from layer 1 (they never touch the base data).
-    pub fn observe_batch(
+    /// Calling it again with no new rows observes nothing, so a load whose
+    /// batch a concurrent load or rebuild already covered counts no row
+    /// twice. Derived layers become stale; call [`LayerHierarchy::refresh`]
+    /// to rebuild them from layer 1's sample.
+    pub fn observe_appended(
         &mut self,
-        batch: &RecordBatch,
+        table: &Table,
         predicate_set: Option<&PredicateSet>,
     ) -> Result<()> {
-        self.root_builder.observe_batch(batch, predicate_set)?;
+        let from = usize::try_from(self.observed_rows()).unwrap_or(usize::MAX);
+        let rows = from.min(table.row_count())..table.row_count();
+        self.root_builder.observe(table, rows, predicate_set)?;
         self.stale = true;
         Ok(())
     }
 
-    /// Rebuild the materialised impressions: layer 1 from its builder,
-    /// every further layer by uniformly subsampling the layer above and
-    /// inheriting its per-row weights (no predicate set needed — derivation
-    /// never recomputes interest).
-    pub fn refresh(&mut self) -> Result<()> {
+    /// Rebuild the materialised impressions from `base`, the table layer 1
+    /// observed: layer 1 from its builder, every further layer by uniformly
+    /// subsampling the sample of the layer above and inheriting its per-row
+    /// weights (no predicate set needed — derivation never recomputes
+    /// interest).
+    pub fn refresh(&mut self, base: &Table) -> Result<()> {
         let mut layers = Vec::with_capacity(self.layer_count());
-        layers.push(self.root_builder.materialize()?);
+        layers.push(self.root_builder.materialize(base)?);
         // Derived layers physically sample the layer above, but estimates
         // from them must expand to the *base* table: re-anchor their
         // population on layer 1's population.
         let base_rows = layers[0].source_rows();
         let base_weight = layers[0].total_observed_weight();
+        let mut parent: Option<ImpressionBuilder> = None;
         for (i, &size) in self.derived_sizes.iter().enumerate() {
             let layer_index = i + 2;
-            let parent = layers.last().expect("layer 1 exists");
-            let mut builder = ImpressionBuilder::derived(
-                format!(
-                    "{}.layer{layer_index}.{}",
-                    self.source_table,
-                    self.policy.name()
-                ),
-                self.source_table.clone(),
-                self.schema.clone(),
-                self.policy.clone(),
-                size,
-                layer_index,
-                self.seed.wrapping_add(layer_index as u64),
-            )?;
+            let name = format!(
+                "{}.layer{layer_index}.{}",
+                self.source_table,
+                self.policy.name()
+            );
             // Derived layers inherit each parent row's stored weight rather
             // than recomputing it from the predicate set: layer 1's weights
             // are the effective (saturation-capped) inclusion weights of the
             // realized design, and the estimator correction must stay
             // consistent with them all the way down the hierarchy.
-            let parent_batch = parent.data().to_batch();
-            for (idx, &weight) in parent.weights().iter().enumerate() {
-                builder.observe_row_weighted(parent_batch.row(idx)?, weight);
-            }
-            let mut impression = builder.materialize()?;
+            let builder = parent.as_ref().unwrap_or(&self.root_builder).derive(
+                name,
+                size,
+                layer_index,
+                self.seed.wrapping_add(layer_index as u64),
+            );
+            let mut impression = builder.materialize(base)?;
             impression.rescale_population(base_rows, base_weight);
             layers.push(impression);
+            parent = Some(builder);
         }
         self.layers = layers;
         self.stale = false;
@@ -229,15 +239,17 @@ impl LayerHierarchy {
             self.seed.wrapping_add(1),
         )?;
         *self = rebuilt;
-        self.observe_batch(&table.to_batch(), predicate_set)?;
-        self.refresh()
+        self.observe_appended(table, predicate_set)?;
+        self.refresh(table)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sciborq_columnar::{DataType, Field, Predicate, RecordBatchBuilder, Schema, Value};
+    use sciborq_columnar::{
+        DataType, Field, Predicate, RecordBatch, RecordBatchBuilder, Schema, Value,
+    };
     use sciborq_workload::AttributeDomain;
 
     fn schema() -> SchemaRef {
@@ -276,6 +288,7 @@ mod tests {
         assert!(
             LayerHierarchy::new("t", schema(), SamplingPolicy::Uniform, &[500, 100], 1).is_ok()
         );
+        assert!(LayerHierarchy::new("t", schema(), SamplingPolicy::Uniform, &[500, 0], 1).is_err());
     }
 
     #[test]
@@ -346,15 +359,20 @@ mod tests {
         let mut h =
             LayerHierarchy::new("photoobj", schema(), SamplingPolicy::Uniform, &[500, 50], 1)
                 .unwrap();
-        h.observe_batch(&batch(1, 1_000), None).unwrap();
+        let mut base = base_table(1_000);
+        h.observe_appended(&base, None).unwrap();
         assert!(h.is_stale());
-        h.refresh().unwrap();
+        h.refresh(&base).unwrap();
         assert!(!h.is_stale());
-        h.observe_batch(&batch(1_001, 1_000), None).unwrap();
+        base.append_batch(&batch(1_001, 1_000)).unwrap();
+        h.observe_appended(&base, None).unwrap();
         assert!(h.is_stale());
-        h.refresh().unwrap();
+        h.refresh(&base).unwrap();
         assert_eq!(h.observed_rows(), 2_000);
         assert_eq!(h.layers()[0].source_rows(), 2_000);
+        // rows already observed are never observed again
+        h.observe_appended(&base, None).unwrap();
+        assert_eq!(h.observed_rows(), 2_000);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! An impression "gathers data according to a sampling strategy" (§3.1). The
 //! policy enumerates the strategies the paper describes — uniform (Figure 2),
-//! Last-Seen (Figure 3) and workload-biased (Figure 6) — plus the stratified
-//! baseline used by the ablation experiments.
+//! Last-Seen (Figure 3) and workload-biased (Figure 6).
 
 use serde::{Deserialize, Serialize};
 

@@ -315,25 +315,32 @@ impl ExplorationSession {
     }
 
     /// Ingest an incremental load: append the batch to the base table and
-    /// stream it through the table's impression hierarchy (if one exists).
-    /// The hierarchy is updated copy-on-write: readers holding the previous
-    /// snapshot are undisturbed.
+    /// stream the rows appended since the hierarchy last saw the table
+    /// through it (if one exists). The hierarchy is updated copy-on-write:
+    /// readers holding the previous snapshot are undisturbed.
     pub fn load(&self, table: &str, batch: &RecordBatch) -> Result<()> {
         let handle = self
             .catalog
             .table(table)
             .map_err(|_| SciborqError::UnknownTable(table.to_owned()))?;
         handle.write().append_batch(batch)?;
-        // Hold the write lock across the clone-modify-swap so concurrent
-        // loads serialize instead of losing each other's updates.
+        // The layers are gathered from the base table, so read it first and
+        // only then take the hierarchy lock (the canonical table →
+        // hierarchies order). Hold the write lock across the
+        // clone-modify-swap so concurrent loads serialize instead of losing
+        // each other's updates. The hierarchy observes every row it has not
+        // yet seen rather than this batch's: a concurrent load or `adapt`
+        // may already have covered the batch, or this load may be the first
+        // to see another's.
+        let base = handle.read();
         let mut hierarchies = self.hierarchies.write();
         if let Some(current) = hierarchies.get(table) {
             let mut updated = (**current).clone();
             {
                 let predicate_set = self.predicate_set.lock();
-                updated.observe_batch(batch, Some(&predicate_set))?;
+                updated.observe_appended(&base, Some(&predicate_set))?;
             }
-            updated.refresh()?;
+            updated.refresh(&base)?;
             hierarchies.insert(table.to_owned(), Arc::new(updated));
         }
         Ok(())

@@ -45,35 +45,19 @@ impl<T> Reservoir<T> {
         let cnt = self.observed + 1;
         (self.capacity as f64 / cnt as f64).min(1.0)
     }
-
-    /// Observe one stream element, materialising it lazily: `make_item` runs
-    /// only when the reservoir actually retains the element. Algorithm R's
-    /// accept/evict decision depends solely on the stream position, so for
-    /// expensive items (e.g. boxed table rows) this skips the construction
-    /// cost of every rejected tuple — which, past the fill phase, is almost
-    /// all of them.
-    ///
-    /// Draws exactly the same RNG sequence as
-    /// [`SamplingStrategy::observe_weighted`]: feeding a stream through
-    /// either entry point yields bit-identical reservoirs.
-    pub fn observe_with(&mut self, weight: f64, make_item: impl FnOnce() -> T) {
-        self.observed += 1;
-        if self.sample.len() < self.capacity {
-            self.sample.push(SampledItem::new(make_item(), weight));
-            return;
-        }
-        let rnd = self.rng.gen_range(0..self.observed);
-        if (rnd as usize) < self.capacity {
-            self.sample[rnd as usize] = SampledItem::new(make_item(), weight);
-        }
-    }
 }
 
 impl<T> SamplingStrategy<T> for Reservoir<T> {
     fn observe_weighted(&mut self, item: T, weight: f64) {
-        // delegate so the "same RNG sequence" contract with observe_with
-        // holds by construction, not just by test
-        self.observe_with(weight, || item);
+        self.observed += 1;
+        if self.sample.len() < self.capacity {
+            self.sample.push(SampledItem::new(item, weight));
+            return;
+        }
+        let rnd = self.rng.gen_range(0..self.observed);
+        if (rnd as usize) < self.capacity {
+            self.sample[rnd as usize] = SampledItem::new(item, weight);
+        }
     }
 
     fn sample(&self) -> &[SampledItem<T>] {
@@ -197,28 +181,6 @@ mod tests {
         let last_third: u32 = inclusion[667..].iter().sum();
         let ratio = first_third as f64 / last_third as f64;
         assert!(ratio > 0.9 && ratio < 1.1, "ratio = {ratio}");
-    }
-
-    #[test]
-    fn observe_with_is_bit_identical_to_observe_weighted() {
-        let mut eager = Reservoir::new(20, 99);
-        let mut lazy = Reservoir::new(20, 99);
-        let mut built = 0u32;
-        for i in 0..5_000u64 {
-            eager.observe_weighted(i, 1.0);
-            lazy.observe_with(1.0, || {
-                built += 1;
-                i
-            });
-        }
-        let eager_items: Vec<u64> = eager.sample().iter().map(|s| s.item).collect();
-        let lazy_items: Vec<u64> = lazy.sample().iter().map(|s| s.item).collect();
-        assert_eq!(eager_items, lazy_items);
-        assert_eq!(lazy.observed(), 5_000);
-        // the closure ran only for retained tuples: the 20 fill-phase ones
-        // plus every later accepted replacement — far fewer than the stream
-        assert!(built >= 20);
-        assert!(built < 500, "built {built} items for a 20-slot reservoir");
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //!
 //! The paper evaluates against the 4 TB SkyServer database and its public
 //! query logs; neither is redistributable at that scale, so this crate
-//! generates a statistically similar stand-in (see DESIGN.md for the
-//! substitution argument):
+//! generates a statistically similar stand-in:
 //!
 //! * [`PhotoObjGenerator`] — a clustered synthetic `PhotoObjAll` fact table
 //!   streamed in incremental-load batches,

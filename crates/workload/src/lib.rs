@@ -16,7 +16,7 @@
 //! * [`QueryLog`] — a bounded log with windowed replay.
 //! * [`WorkloadGenerator`] — a synthetic SkyServer-like query generator with
 //!   configurable focal clusters and focus shifts (substitute for the public
-//!   SkyServer query logs, see DESIGN.md).
+//!   SkyServer query logs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
