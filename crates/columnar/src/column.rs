@@ -557,6 +557,114 @@ impl Column {
         })
     }
 
+    /// Overwrite, in place, row `slot` of this column with row `row` of
+    /// `source` for every `(slot, row)` pair — the in-place counterpart of
+    /// [`Column::gather`] for a column that mirrors a few changed positions
+    /// of another.
+    ///
+    /// A dictionary-encoded column takes a plain Utf8 source by looking each
+    /// string up in its dictionary, then drops the entries no valid row
+    /// uses any more, so it ends exactly as [`Column::dict_encoded`] over
+    /// its rows would. Returns `Ok(false)` when the copy cannot be made in
+    /// place — a string missing from the dictionary, or a dictionary-encoded
+    /// source — and the column may then be partly overwritten: the caller
+    /// rebuilds it instead.
+    pub fn overwrite_rows(&mut self, source: &Column, pairs: &[(usize, usize)]) -> Result<bool> {
+        if self.data_type() != source.data_type() {
+            return Err(ColumnarError::TypeMismatch {
+                column: String::new(),
+                expected: self.data_type().name(),
+                found: source.data_type().name(),
+            });
+        }
+        let (len, source_len) = (self.len(), source.len());
+        for &(slot, row) in pairs {
+            if slot >= len {
+                return Err(ColumnarError::RowOutOfBounds { row: slot, len });
+            }
+            if row >= source_len {
+                return Err(ColumnarError::RowOutOfBounds {
+                    row,
+                    len: source_len,
+                });
+            }
+        }
+        fn copy<T: Clone>(
+            values: &mut [T],
+            validity: &mut Bitmap,
+            source: &[T],
+            source_validity: &Bitmap,
+            pairs: &[(usize, usize)],
+        ) {
+            for &(slot, row) in pairs {
+                values[slot] = source[row].clone();
+                validity.set(slot, source_validity.get(row));
+            }
+        }
+        let source_validity = source.validity();
+        match (self, source) {
+            (Column::Int64 { values, validity }, Column::Int64 { values: src, .. }) => {
+                copy(values, validity, src, source_validity, pairs);
+            }
+            (Column::Float64 { values, validity }, Column::Float64 { values: src, .. }) => {
+                copy(values, validity, src, source_validity, pairs);
+            }
+            (Column::Bool { values, validity }, Column::Bool { values: src, .. }) => {
+                copy(values, validity, src, source_validity, pairs);
+            }
+            (Column::Utf8 { values, validity }, Column::Utf8 { values: src, .. }) => {
+                copy(values, validity, src, source_validity, pairs);
+            }
+            (
+                Column::Utf8Dict {
+                    codes,
+                    dict,
+                    validity,
+                },
+                Column::Utf8 { values: src, .. },
+            ) => {
+                for &(slot, row) in pairs {
+                    let valid = source_validity.get(row);
+                    codes[slot] = if valid {
+                        match dict.binary_search_by(|d| d.as_str().cmp(src[row].as_str())) {
+                            Ok(code) => code as u32,
+                            Err(_) => return Ok(false),
+                        }
+                    } else {
+                        0
+                    };
+                    validity.set(slot, valid);
+                }
+                // Keep the dictionary to the values the rows hold.
+                let mut used = vec![false; dict.len()];
+                for (i, &code) in codes.iter().enumerate() {
+                    if validity.get(i) {
+                        used[code as usize] = true;
+                    }
+                }
+                if used.contains(&false) {
+                    // NULL rows hold code 0, and code 0 always maps to 0.
+                    let mut remap = Vec::with_capacity(dict.len());
+                    let mut next = 0u32;
+                    for &u in &used {
+                        remap.push(next);
+                        next += u32::from(u);
+                    }
+                    let mut entry = 0;
+                    dict.retain(|_| {
+                        entry += 1;
+                        used[entry - 1]
+                    });
+                    for code in codes.iter_mut() {
+                        *code = remap[*code as usize];
+                    }
+                }
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
     /// Iterate over the column as `Option<f64>` (None for NULL and
     /// non-numeric columns' rows).
     pub fn iter_f64(&self) -> impl Iterator<Item = Option<f64>> + '_ {
@@ -950,5 +1058,55 @@ mod tests {
         assert_eq!(g.get(1).unwrap(), Value::Null);
         assert_eq!(g.get(2).unwrap(), Value::Utf8("y".into()));
         assert!(d.gather(&[9]).is_err());
+    }
+
+    fn strings(values: &[Option<&str>]) -> Column {
+        let mut c = Column::new(DataType::Utf8);
+        for v in values {
+            c.push(&v.map_or(Value::Null, |s| Value::Utf8(s.into())))
+                .unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn overwrite_rows_matches_a_fresh_gather() {
+        let mut source = Column::new(DataType::Float64);
+        for v in [Some(1.0), None, Some(3.0), Some(4.0)] {
+            source.push(&v.map_or(Value::Null, Value::Float64)).unwrap();
+        }
+        // slots 0..3 mirror source rows [0, 2, 3]; rows 1 and 3 replace two
+        let mut mirror = source.gather(&[0, 2, 3]).unwrap();
+        assert!(mirror.overwrite_rows(&source, &[(2, 1), (0, 3)]).unwrap());
+        assert_eq!(mirror, source.gather(&[3, 2, 1]).unwrap());
+        assert_eq!(mirror.null_count(), 1);
+        // bounds and types are checked before anything is written
+        assert!(mirror.overwrite_rows(&source, &[(3, 0)]).is_err());
+        assert!(mirror.overwrite_rows(&source, &[(0, 4)]).is_err());
+        assert!(mirror
+            .overwrite_rows(&Column::from_i64(vec![1]), &[(0, 0)])
+            .is_err());
+    }
+
+    #[test]
+    fn overwrite_rows_keeps_dictionaries_as_fresh_encoding_would() {
+        let source = strings(&[Some("a"), Some("b"), None, Some("c"), Some("zz")]);
+        let fresh = |rows: &[usize]| {
+            source
+                .gather(rows)
+                .unwrap()
+                .dict_encoded(usize::MAX)
+                .unwrap()
+        };
+        let mut mirror = fresh(&[0, 1, 3]);
+        // "a" leaves the rows: its entry goes and the codes shift down
+        assert!(mirror.overwrite_rows(&source, &[(0, 2), (2, 1)]).unwrap());
+        assert_eq!(mirror, fresh(&[2, 1, 1]));
+        assert_eq!(mirror.dict_parts().unwrap().1, &["b"]);
+        // a string outside the dictionary cannot be written in place
+        assert!(!mirror.overwrite_rows(&source, &[(1, 4)]).unwrap());
+        // nor can a dictionary-encoded source be copied code for code
+        let mut plain = source.gather(&[0]).unwrap();
+        assert!(!plain.overwrite_rows(&fresh(&[1]), &[(0, 0)]).unwrap());
     }
 }

@@ -283,6 +283,27 @@ impl Table {
         })
     }
 
+    /// Overwrite, in place, row `slot` of this table with row `row` of
+    /// `source` for every `(slot, row)` pair, column by column (see
+    /// [`Column::overwrite_rows`]). Returns `Ok(false)` when some column
+    /// cannot take its rows in place; the table may then be partly
+    /// overwritten, and the caller rebuilds it instead.
+    pub fn overwrite_rows(&mut self, source: &Table, pairs: &[(usize, usize)]) -> Result<bool> {
+        if source.schema().fields() != self.schema.fields() {
+            return Err(ColumnarError::SchemaMismatch(format!(
+                "source schema {} does not match {}",
+                source.schema(),
+                self.schema
+            )));
+        }
+        for (col, src) in self.columns.iter_mut().zip(&source.columns) {
+            if !col.overwrite_rows(src, pairs)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// Project the table onto a subset of columns, producing a new table that
     /// shares no data with the original.
     pub fn project(&self, names: &[&str], name: impl Into<String>) -> Result<Table> {

@@ -33,7 +33,7 @@
 //!    `Internal { site: "engine.level" }`.
 
 use crate::answer::{ApproximateAnswer, EvaluationLevel, LevelEstimate};
-use crate::engine::{BoundedQueryEngine, QueryBounds};
+use crate::engine::{BaseData, BoundedQueryEngine, QueryBounds};
 use crate::error::{Result, SciborqError};
 use crate::execution::QueryExecution;
 use crate::impression::Impression;
@@ -367,11 +367,15 @@ impl BoundedQueryEngine {
     /// passes between queries. Results come back in request order; each
     /// query gets exactly the answer (bit for bit) it would get in a batch
     /// of its own, including typed errors for unsatisfiable bounds.
-    pub fn execute_aggregate_batch(
+    ///
+    /// `base` is the base data (an `Option<&Table>` converts); a
+    /// [`BaseData::Locked`] table is read-locked only once the impressions
+    /// have left some query unresolved.
+    pub fn execute_aggregate_batch<'a>(
         &self,
         requests: &[(&Query, &QueryBounds)],
         hierarchy: &LayerHierarchy,
-        base_table: Option<&Table>,
+        base: impl Into<BaseData<'a>>,
     ) -> Vec<Result<ApproximateAnswer>> {
         let parallelism = self.config().parallelism;
         let tracing = self.config().collect_traces;
@@ -418,25 +422,27 @@ impl BoundedQueryEngine {
 
         // Base-data fall-through, still shared: exact answers for everything
         // that is admissible within its budgets.
-        if let Some(table) = base_table {
-            let base_rows = table.row_count() as u64;
-            let mut active: Vec<usize> = Vec::new();
-            for (i, st) in states.iter_mut().enumerate() {
-                if st.done.is_some() {
-                    continue;
+        if states.iter().any(|st| st.done.is_none()) {
+            base.into().with_table(|table| {
+                let base_rows = table.row_count() as u64;
+                let mut active: Vec<usize> = Vec::new();
+                for (i, st) in states.iter_mut().enumerate() {
+                    if st.done.is_some() {
+                        continue;
+                    }
+                    let admissible = st.bounds.max_rows_scanned.is_none_or(|b| base_rows <= b);
+                    if !admissible || !st.time_ok() {
+                        continue;
+                    }
+                    if st.best.is_some() {
+                        st.escalations += 1;
+                    }
+                    active.push(i);
                 }
-                let admissible = st.bounds.max_rows_scanned.is_none_or(|b| base_rows <= b);
-                if !admissible || !st.time_ok() {
-                    continue;
+                if !active.is_empty() {
+                    self.scan_level(&mut states, &active, table, None, EvaluationLevel::BaseData);
                 }
-                if st.best.is_some() {
-                    st.escalations += 1;
-                }
-                active.push(i);
-            }
-            if !active.is_empty() {
-                self.scan_level(&mut states, &active, table, None, EvaluationLevel::BaseData);
-            }
+            });
         }
 
         // Best-effort finalisation for whatever is still unresolved.

@@ -7,14 +7,19 @@
 //! not."
 //!
 //! The [`ImpressionBuilder`] is exactly that: it is shown the rows of the
-//! base table as they are appended (or the sample of the layer below),
-//! decides tuple by tuple, and finally materialises an [`Impression`].
+//! base table as they are appended, decides tuple by tuple, and
+//! materialises an [`Impression`].
 //!
 //! A reservoir's keep-or-evict decision depends only on the stream position
 //! and the tuple's interest weight, never on the tuple itself (Vitter 1985),
 //! so the builder remembers *which* base rows it keeps — a base row id plus
-//! its effective weight — rather than copies of the rows. Materialising is
-//! one order-preserving columnar gather of those ids from the base table.
+//! its effective weight — rather than copies of the rows. Every kept tuple
+//! is written into exactly one sample slot, and the builder also remembers
+//! which slots were written since it was last materialised: a load that
+//! replaced a thousand of 200k slots lets the hierarchy patch those
+//! thousand rows of the previous impression in place. Materialising in
+//! full — one order-preserving columnar gather of every kept id from the
+//! base table — is the fallback.
 
 use crate::error::{Result, SciborqError};
 use crate::impression::Impression;
@@ -36,7 +41,8 @@ enum Sampler {
 }
 
 impl Sampler {
-    fn observe(&mut self, row: usize, weight: f64) {
+    /// Offer base row `row`; returns the sample slot it was written into.
+    fn observe(&mut self, row: usize, weight: f64) -> Option<usize> {
         match self {
             Sampler::Uniform(r) => r.observe_weighted(row, weight),
             Sampler::LastSeen(r) => r.observe_weighted(row, weight),
@@ -66,7 +72,8 @@ impl Sampler {
 /// The builder can be kept alive across incremental loads: the rows every
 /// load appends to the base table are pushed through
 /// [`ImpressionBuilder::observe`], and a fresh snapshot can be materialised
-/// from the base table at any time with [`ImpressionBuilder::materialize`].
+/// from the base table at any time with [`ImpressionBuilder::materialize`]
+/// (or, inside a hierarchy, patched from the slots observation changed).
 #[derive(Debug, Clone)]
 pub struct ImpressionBuilder {
     name: String,
@@ -82,6 +89,11 @@ pub struct ImpressionBuilder {
     raw_weight_sum: f64,
     /// Column indices of the bias-steering attributes (resolved once).
     bias_columns: Vec<(String, usize)>,
+    /// Sample slots written since [`ImpressionBuilder::take_changed`] was
+    /// last called (with repeats), or `None` when there is no previous
+    /// materialisation to patch or more slots changed than the sample
+    /// holds — either way, the next materialisation is a full one.
+    changed: Option<Vec<usize>>,
 }
 
 impl ImpressionBuilder {
@@ -137,42 +149,8 @@ impl ImpressionBuilder {
             total_observed_weight: 0.0,
             raw_weight_sum: 0.0,
             bias_columns,
+            changed: None,
         })
-    }
-
-    /// Derive the builder of a smaller layer: a reservoir of `capacity`
-    /// (positive) rows fed this builder's sample — its base row ids, in
-    /// sample order, with the effective weights they carry.
-    ///
-    /// Derived layers always subsample their parent **uniformly**, whatever
-    /// the hierarchy's policy. The parent's composition is already shaped by
-    /// the policy (biased towards the workload's focal regions, say), and a
-    /// uniform subsample preserves that composition — the paper's "the focal
-    /// point of the larger impression is inherited by the smaller". Applying
-    /// a biased sampler a second time would square the inclusion
-    /// probabilities (∝ w² instead of ∝ w) and silently break the
-    /// Hansen–Hurwitz correction, which assumes a single w-proportional
-    /// stage. The derived builder inherits each row's weight verbatim
-    /// rather than recomputing it, so the weighted estimators stay
-    /// applicable.
-    pub(crate) fn derive(&self, name: String, capacity: usize, layer: usize, seed: u64) -> Self {
-        let mut derived = ImpressionBuilder {
-            name,
-            source_table: self.source_table.clone(),
-            schema: self.schema.clone(),
-            policy: self.policy.clone(),
-            layer,
-            capacity,
-            sampler: Sampler::Uniform(Reservoir::new(capacity, seed)),
-            total_observed_weight: 0.0,
-            raw_weight_sum: 0.0,
-            bias_columns: Vec::new(),
-        };
-        for item in self.sampler.sample() {
-            derived.total_observed_weight += item.weight;
-            derived.sampler.observe(item.item, item.weight);
-        }
-        derived
     }
 
     /// The impression name this builder produces.
@@ -193,6 +171,27 @@ impl ImpressionBuilder {
     /// The policy driving this builder.
     pub fn policy(&self) -> &SamplingPolicy {
         &self.policy
+    }
+
+    /// The retained base row ids with their effective weights, by slot.
+    pub(crate) fn sample(&self) -> &[SampledItem<usize>] {
+        self.sampler.sample()
+    }
+
+    /// The sum of the effective weights of every observed tuple.
+    pub(crate) fn total_observed_weight(&self) -> f64 {
+        self.total_observed_weight
+    }
+
+    /// The slots written since the last call, sorted and deduplicated —
+    /// `None` when the caller must materialise in full instead (nothing
+    /// was materialised before, or too much changed to be worth patching).
+    /// Either way, changes are tracked afresh from here on.
+    pub(crate) fn take_changed(&mut self) -> Option<Vec<usize>> {
+        let mut changed = self.changed.replace(Vec::new())?;
+        changed.sort_unstable();
+        changed.dedup();
+        Some(changed)
     }
 
     /// The interest weight of base row `row` under the current predicate
@@ -301,7 +300,13 @@ impl ImpressionBuilder {
             let weight = self.row_weight(table, row, predicate_set);
             let weight = self.effective_weight(weight);
             self.total_observed_weight += weight;
-            self.sampler.observe(row, weight);
+            let slot = self.sampler.observe(row, weight);
+            if let (Some(slot), Some(changed)) = (slot, self.changed.as_mut()) {
+                changed.push(slot);
+                if changed.len() > self.capacity {
+                    self.changed = None;
+                }
+            }
         }
         Ok(())
     }

@@ -28,12 +28,45 @@ use crate::config::SciborqConfig;
 use crate::error::{Result, SciborqError};
 use crate::execution::QueryExecution;
 use crate::layer::LayerHierarchy;
+use parking_lot::RwLock;
 use sciborq_columnar::Table;
 use sciborq_telemetry::FaultEventKind;
 use sciborq_workload::{Query, QueryKind};
 use serde::{Deserialize, Serialize};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
+
+/// The base data an aggregate query may fall through to. A locked table is
+/// read only if some query's escalation actually reaches the base level, so
+/// queries answered by an impression never hold the table's read lock (and
+/// never hold up a load appending to it).
+#[derive(Debug, Clone, Copy)]
+pub enum BaseData<'a> {
+    /// No base fall-through: impressions only.
+    None,
+    /// A table the caller already holds.
+    Table(&'a Table),
+    /// A shared table (a catalog entry), read-locked for the base pass only.
+    Locked(&'a RwLock<Table>),
+}
+
+impl BaseData<'_> {
+    /// Run `scan` over the base table, read-locking it for the duration;
+    /// `None` when there is no base data.
+    pub(crate) fn with_table<R>(self, scan: impl FnOnce(&Table) -> R) -> Option<R> {
+        match self {
+            BaseData::None => None,
+            BaseData::Table(table) => Some(scan(table)),
+            BaseData::Locked(lock) => Some(scan(&lock.read())),
+        }
+    }
+}
+
+impl<'a> From<Option<&'a Table>> for BaseData<'a> {
+    fn from(table: Option<&'a Table>) -> Self {
+        table.map_or(BaseData::None, BaseData::Table)
+    }
+}
 
 /// The bounds a query must be answered under.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

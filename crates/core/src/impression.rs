@@ -14,7 +14,7 @@
 //! put a division on the hottest loop in the system, so a biased impression
 //! precomputes the whole slice **once per impression**: at construction, and
 //! again on [`Impression::rescale_population`] (re-anchoring changes the
-//! normaliser). Queries — and the fused weighted scan kernels — borrow the
+//! normaliser) and whenever a load patches the impression's rows. Queries — and the fused weighted scan kernels — borrow the
 //! cached slice via [`Impression::selection_probabilities`] and never
 //! recompute it. Self-weighted impressions skip the cache entirely: every
 //! row's probability is the constant `1/cnt` and their estimators never
@@ -169,6 +169,38 @@ impl Impression {
         self.total_observed_weight = total_observed_weight;
         // both inputs feed the cached probability slice
         self.recompute_probabilities();
+    }
+
+    /// Patch the impression in place after a load: overwrite each slot
+    /// `slot` of `writes` with base row `row` and give it `weight`, then
+    /// re-anchor on the load's `source_rows` and `total_observed_weight`.
+    /// The result is what [`Impression::new`] over the same rows, weights
+    /// and anchors would build, bit for bit.
+    ///
+    /// Returns `Ok(false)` when a row cannot be written in place (a string
+    /// outside a dictionary-encoded column's dictionary); the impression is
+    /// then partly patched and must be rebuilt.
+    pub(crate) fn patch(
+        &mut self,
+        base: &Table,
+        writes: &[(usize, usize, f64)],
+        source_rows: u64,
+        total_observed_weight: f64,
+    ) -> Result<bool> {
+        if !writes.is_empty() {
+            let pairs: Vec<(usize, usize)> =
+                writes.iter().map(|&(slot, row, _)| (slot, row)).collect();
+            if !self.data.overwrite_rows(base, &pairs)? {
+                return Ok(false);
+            }
+            // A plain string column may have dropped to a dictionary's size.
+            self.data.dict_encode_strings(DICT_MAX_CARDINALITY);
+            for &(slot, _, weight) in writes {
+                self.weights[slot] = weight;
+            }
+        }
+        self.rescale_population(source_rows, total_observed_weight);
+        Ok(true)
     }
 
     /// The sampling fraction `n / cnt`.

@@ -10,11 +10,19 @@
 //!
 //! A [`LayerHierarchy`] owns the [`ImpressionBuilder`] of layer 1, which
 //! samples the base table's loads directly and always covers a prefix of
-//! the table, in table order. Layer *k+1* is derived on every
-//! refresh by uniformly subsampling layer *k*'s sample — its base row ids
-//! and weights, in order — so no layer ever copies rows to build the next.
-//! Every layer is then materialised by gathering its row ids from the base
-//! table.
+//! the table, in table order. Layer *k+1* uniformly subsamples layer *k*'s
+//! slots, in slot order, with a fixed seed; the reservoir's draws depend
+//! only on the stream position, so once layer 1 is full every derived slot
+//! holds a fixed slot of layer 1, and the hierarchy stores that map.
+//!
+//! Every layer is materialised by gathering base rows, so no layer ever
+//! copies rows to build the next. After a load, the layers are **patched by
+//! slot**: the layer-1 slots the load replaced are overwritten in place,
+//! and so are the derived slots that map to them. A full materialisation
+//! is the fallback — while layer 1 is still filling (the maps still grow),
+//! after a rebuild, and when a patched string is missing from a
+//! dictionary-encoded column's dictionary. Either way the layers are
+//! bit-identical to a one-shot build over the same table.
 
 use crate::builder::ImpressionBuilder;
 use crate::config::SciborqConfig;
@@ -22,6 +30,7 @@ use crate::error::{Result, SciborqError};
 use crate::impression::Impression;
 use crate::policy::SamplingPolicy;
 use sciborq_columnar::{SchemaRef, Table};
+use sciborq_sampling::{Reservoir, SamplingStrategy};
 use sciborq_workload::PredicateSet;
 
 /// A hierarchy of impressions over one base table.
@@ -34,18 +43,19 @@ pub struct LayerHierarchy {
     root_builder: ImpressionBuilder,
     /// Sizes of layers 2.. (layer 1's size is the root builder's capacity).
     derived_sizes: Vec<usize>,
+    /// For each of layers 2.., the layer-1 slot each of its slots holds.
+    derived_slots: Vec<Vec<usize>>,
     /// Materialised impressions, index 0 = layer 1 (most detailed).
     layers: Vec<Impression>,
     seed: u64,
-    /// Whether derived layers are stale with respect to layer 1.
-    stale: bool,
 }
 
 impl LayerHierarchy {
     /// Create an empty hierarchy for a table.
     ///
     /// `layer_sizes` follows [`SciborqConfig::layer_sizes`]: most detailed
-    /// layer first, sizes non-increasing.
+    /// layer first, sizes non-increasing. Nothing is materialised until the
+    /// first [`LayerHierarchy::observe_appended`].
     pub fn new(
         source_table: impl Into<String>,
         schema: SchemaRef,
@@ -84,9 +94,9 @@ impl LayerHierarchy {
             policy,
             root_builder,
             derived_sizes: layer_sizes[1..].to_vec(),
+            derived_slots: Vec::new(),
             layers: Vec::new(),
             seed,
-            stale: true,
         })
     }
 
@@ -106,7 +116,6 @@ impl LayerHierarchy {
             config.seed,
         )?;
         hierarchy.observe_appended(table, predicate_set)?;
-        hierarchy.refresh(table)?;
         Ok(hierarchy)
     }
 
@@ -125,23 +134,19 @@ impl LayerHierarchy {
         1 + self.derived_sizes.len()
     }
 
-    /// Whether derived layers need a [`LayerHierarchy::refresh`].
-    pub fn is_stale(&self) -> bool {
-        self.stale
-    }
-
     /// Number of tuples observed by layer 1 (i.e. base-table rows seen).
     pub fn observed_rows(&self) -> u64 {
         self.root_builder.observed()
     }
 
     /// Feed the rows appended to the base table since layer 1 last saw it
-    /// — rows `observed_rows()..table.row_count()` — through layer 1.
+    /// — rows `observed_rows()..table.row_count()` — through layer 1, then
+    /// bring every layer up to date with `table`, patching the slots that
+    /// changed where it can.
     ///
     /// Calling it again with no new rows observes nothing, so a load whose
     /// batch a concurrent load or rebuild already covered counts no row
-    /// twice. Derived layers become stale; call [`LayerHierarchy::refresh`]
-    /// to rebuild them from layer 1's sample.
+    /// twice.
     pub fn observe_appended(
         &mut self,
         table: &Table,
@@ -149,25 +154,67 @@ impl LayerHierarchy {
     ) -> Result<()> {
         let from = usize::try_from(self.observed_rows()).unwrap_or(usize::MAX);
         let rows = from.min(table.row_count())..table.row_count();
+        if rows.is_empty() && !self.layers.is_empty() {
+            return Ok(());
+        }
         self.root_builder.observe(table, rows, predicate_set)?;
-        self.stale = true;
+        let patched = match self.root_builder.take_changed() {
+            Some(slots) => self.patch(table, &slots)?,
+            None => false,
+        };
+        if !patched {
+            self.materialize(table)?;
+        }
         Ok(())
     }
 
-    /// Rebuild the materialised impressions from `base`, the table layer 1
-    /// observed: layer 1 from its builder, every further layer by uniformly
-    /// subsampling the sample of the layer above and inheriting its per-row
-    /// weights (no predicate set needed — derivation never recomputes
-    /// interest).
-    pub fn refresh(&mut self, base: &Table) -> Result<()> {
-        let mut layers = Vec::with_capacity(self.layer_count());
-        layers.push(self.root_builder.materialize(base)?);
+    /// Patch the layers in place from `base`: overwrite the layer-1 `slots`
+    /// (sorted) the last observation wrote, and every derived slot that
+    /// maps to one of them. Returns `Ok(false)` — the layers then need a
+    /// full [`LayerHierarchy::materialize`] — unless every layer was full
+    /// already at the last materialisation, so no slot map has moved.
+    fn patch(&mut self, base: &Table, slots: &[usize]) -> Result<bool> {
+        let capacity = self.root_builder.capacity();
+        if self.layers.first().is_none_or(|l| l.row_count() < capacity) {
+            return Ok(false);
+        }
+        let sample = self.root_builder.sample();
+        let source_rows = self.root_builder.observed();
+        let total = self.root_builder.total_observed_weight();
+        let write = |slot: usize, root: usize| (slot, sample[root].item, sample[root].weight);
+        let writes: Vec<_> = slots.iter().map(|&slot| write(slot, slot)).collect();
+        if !self.layers[0].patch(base, &writes, source_rows, total)? {
+            return Ok(false);
+        }
+        // Derived layers are anchored on layer 1's population.
+        for (layer, map) in self.layers[1..].iter_mut().zip(&self.derived_slots) {
+            let writes: Vec<_> = map
+                .iter()
+                .enumerate()
+                .filter(|(_, root)| slots.binary_search(root).is_ok())
+                .map(|(slot, &root)| write(slot, root))
+                .collect();
+            if !layer.patch(base, &writes, source_rows, total)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Rebuild every layer from `base`, the table layer 1 observed: layer 1
+    /// from its builder, every further layer by uniformly subsampling the
+    /// slots of the layer above and inheriting their per-row weights (no
+    /// predicate set needed — derivation never recomputes interest).
+    fn materialize(&mut self, base: &Table) -> Result<()> {
+        let layer1 = self.root_builder.materialize(base)?;
         // Derived layers physically sample the layer above, but estimates
-        // from them must expand to the *base* table: re-anchor their
-        // population on layer 1's population.
-        let base_rows = layers[0].source_rows();
-        let base_weight = layers[0].total_observed_weight();
-        let mut parent: Option<ImpressionBuilder> = None;
+        // from them must expand to the *base* table: anchor their population
+        // on layer 1's population.
+        let base_rows = layer1.source_rows();
+        let base_weight = layer1.total_observed_weight();
+        let sample = self.root_builder.sample();
+        let mut layers = vec![layer1];
+        let mut derived_slots: Vec<Vec<usize>> = Vec::with_capacity(self.derived_sizes.len());
         for (i, &size) in self.derived_sizes.iter().enumerate() {
             let layer_index = i + 2;
             let name = format!(
@@ -175,24 +222,43 @@ impl LayerHierarchy {
                 self.source_table,
                 self.policy.name()
             );
-            // Derived layers inherit each parent row's stored weight rather
-            // than recomputing it from the predicate set: layer 1's weights
-            // are the effective (saturation-capped) inclusion weights of the
-            // realized design, and the estimator correction must stay
-            // consistent with them all the way down the hierarchy.
-            let builder = parent.as_ref().unwrap_or(&self.root_builder).derive(
-                name,
-                size,
+            // Subsampling always runs uniformly, whatever the policy: the
+            // parent's composition is already shaped by the policy (biased
+            // towards the focal regions, say), and a uniform subsample keeps
+            // it — the paper's "the focal point of the larger impression is
+            // inherited by the smaller". A second biased stage would square
+            // the inclusion probabilities (∝ w² instead of ∝ w) and break
+            // the Hansen–Hurwitz correction, so each row keeps layer 1's
+            // effective weight verbatim.
+            let parent_len = derived_slots.last().map_or(sample.len(), Vec::len);
+            let mut reservoir = Reservoir::new(size, self.seed.wrapping_add(layer_index as u64));
+            for parent_slot in 0..parent_len {
+                reservoir.observe(parent_slot);
+            }
+            let map: Vec<usize> = reservoir
+                .sample()
+                .iter()
+                .map(|picked| match derived_slots.last() {
+                    Some(parent) => parent[picked.item],
+                    None => picked.item,
+                })
+                .collect();
+            let rows: Vec<usize> = map.iter().map(|&root| sample[root].item).collect();
+            let weights = map.iter().map(|&root| sample[root].weight).collect();
+            layers.push(Impression::new(
+                name.clone(),
+                self.source_table.clone(),
+                base.gather(&rows, name)?,
+                weights,
+                base_weight,
+                base_rows,
+                self.policy.clone(),
                 layer_index,
-                self.seed.wrapping_add(layer_index as u64),
-            );
-            let mut impression = builder.materialize(base)?;
-            impression.rescale_population(base_rows, base_weight);
-            layers.push(impression);
-            parent = Some(builder);
+            )?);
+            derived_slots.push(map);
         }
         self.layers = layers;
-        self.stale = false;
+        self.derived_slots = derived_slots;
         Ok(())
     }
 
@@ -231,16 +297,14 @@ impl LayerHierarchy {
     ) -> Result<()> {
         let mut sizes = vec![self.root_builder.capacity()];
         sizes.extend_from_slice(&self.derived_sizes);
-        let rebuilt = LayerHierarchy::new(
+        *self = LayerHierarchy::new(
             self.source_table.clone(),
             self.schema.clone(),
             self.policy.clone(),
             &sizes,
             self.seed.wrapping_add(1),
         )?;
-        *self = rebuilt;
-        self.observe_appended(table, predicate_set)?;
-        self.refresh(table)
+        self.observe_appended(table, predicate_set)
     }
 }
 
@@ -299,7 +363,6 @@ mod tests {
             .unwrap();
         assert_eq!(h.layer_count(), 3);
         assert_eq!(h.layers().len(), 3);
-        assert!(!h.is_stale());
         assert_eq!(h.observed_rows(), 20_000);
         assert_eq!(h.layers()[0].row_count(), 2_000);
         assert_eq!(h.layers()[1].row_count(), 400);
@@ -355,21 +418,31 @@ mod tests {
     }
 
     #[test]
-    fn incremental_loads_mark_derived_layers_stale() {
+    fn incremental_loads_keep_every_layer_fresh() {
         let mut h =
             LayerHierarchy::new("photoobj", schema(), SamplingPolicy::Uniform, &[500, 50], 1)
                 .unwrap();
+        assert!(h.layers().is_empty());
         let mut base = base_table(1_000);
         h.observe_appended(&base, None).unwrap();
-        assert!(h.is_stale());
-        h.refresh(&base).unwrap();
-        assert!(!h.is_stale());
+        assert_eq!(h.layers().len(), 2);
+        assert_eq!(h.layers()[0].source_rows(), 1_000);
         base.append_batch(&batch(1_001, 1_000)).unwrap();
         h.observe_appended(&base, None).unwrap();
-        assert!(h.is_stale());
-        h.refresh(&base).unwrap();
         assert_eq!(h.observed_rows(), 2_000);
+        // the derived layer is re-anchored on the load at once
         assert_eq!(h.layers()[0].source_rows(), 2_000);
+        assert_eq!(h.layers()[1].source_rows(), 2_000);
+        let one_shot = LayerHierarchy::build_from_table(
+            &base,
+            SamplingPolicy::Uniform,
+            &SciborqConfig::with_layers(vec![500, 50]).with_seed(1),
+            None,
+        )
+        .unwrap();
+        for (patched, built) in h.layers().iter().zip(one_shot.layers()) {
+            assert_eq!(patched.data(), built.data());
+        }
         // rows already observed are never observed again
         h.observe_appended(&base, None).unwrap();
         assert_eq!(h.observed_rows(), 2_000);

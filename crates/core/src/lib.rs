@@ -82,7 +82,7 @@ pub mod session;
 pub use answer::{ApproximateAnswer, EvaluationLevel, LevelEstimate, LevelScan, SelectAnswer};
 pub use builder::ImpressionBuilder;
 pub use config::{SciborqConfig, StorageClass};
-pub use engine::{BoundedQueryEngine, QueryBounds};
+pub use engine::{BaseData, BoundedQueryEngine, QueryBounds};
 pub use error::{Result, SciborqError};
 pub use execution::QueryExecution;
 pub use impression::{Impression, DICT_MAX_CARDINALITY};

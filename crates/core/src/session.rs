@@ -13,16 +13,23 @@
 //! `&self` — including [`ExplorationSession::execute_batch`], which answers
 //! several aggregate queries over the same table in one shared scan pass
 //! per escalation level.
+//!
+//! Writers of the hierarchy map (impression creation, loads, adaptive
+//! rebuilds) take turns on one writer mutex and build their new hierarchy
+//! on a clone *outside* the map's lock; the map's write lock is held only
+//! to swap the finished hierarchy in. A query therefore waits at most for
+//! a pointer swap, never for a load's sampling work, and no update is lost
+//! because only the holder of the writer mutex swaps.
 
 use crate::answer::{ApproximateAnswer, SelectAnswer};
 use crate::config::SciborqConfig;
-use crate::engine::{BoundedQueryEngine, QueryBounds};
+use crate::engine::{BaseData, BoundedQueryEngine, QueryBounds};
 use crate::error::{Result, SciborqError};
 use crate::layer::LayerHierarchy;
 use crate::maintenance::{AdaptiveMaintainer, MaintenanceDecision};
 use crate::policy::SamplingPolicy;
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use sciborq_columnar::{Catalog, RecordBatch};
+use sciborq_columnar::{Catalog, RecordBatch, Table};
 use sciborq_telemetry::{
     AdmissionTrace, Counter, FaultEventKind, Histogram, MetricsRegistry, MetricsSnapshot,
     QueryTrace, TraceRing,
@@ -155,6 +162,10 @@ pub struct ExplorationSession {
     engine: BoundedQueryEngine,
     predicate_set: Mutex<PredicateSet>,
     query_log: Mutex<QueryLog>,
+    /// Serialises the writers of `hierarchies`: held from before a load's
+    /// append until its hierarchy is swapped in (outermost in the lock
+    /// order).
+    hierarchy_writer: Mutex<()>,
     hierarchies: RwLock<BTreeMap<String, Arc<LayerHierarchy>>>,
     maintainer: Mutex<AdaptiveMaintainer>,
     rebuilds: AtomicU64,
@@ -187,6 +198,7 @@ impl ExplorationSession {
             engine,
             predicate_set: Mutex::new(predicate_set),
             query_log: Mutex::new(query_log),
+            hierarchy_writer: Mutex::new(()),
             hierarchies: RwLock::new(BTreeMap::new()),
             maintainer: Mutex::new(AdaptiveMaintainer::new()),
             rebuilds: AtomicU64::new(0),
@@ -298,11 +310,11 @@ impl ExplorationSession {
             .catalog
             .table(table)
             .map_err(|_| SciborqError::UnknownTable(table.to_owned()))?;
+        let _writer = self.hierarchy_writer.lock();
         let guard = handle.read();
-        let hierarchy = {
-            let predicate_set = self.predicate_set.lock();
-            LayerHierarchy::build_from_table(&guard, policy, &self.config, Some(&predicate_set))?
-        };
+        let predicate_set = self.predicate_set.lock().clone();
+        let hierarchy =
+            LayerHierarchy::build_from_table(&guard, policy, &self.config, Some(&predicate_set))?;
         drop(guard);
         self.hierarchies
             .write()
@@ -316,33 +328,35 @@ impl ExplorationSession {
 
     /// Ingest an incremental load: append the batch to the base table and
     /// stream the rows appended since the hierarchy last saw the table
-    /// through it (if one exists). The hierarchy is updated copy-on-write:
-    /// readers holding the previous snapshot are undisturbed.
+    /// through it (if one exists).
+    ///
+    /// The hierarchy is updated copy-on-write, off the map's lock: the load
+    /// patches a clone of the current hierarchy — only the sample slots its
+    /// rows replaced — while queries keep reading the previous snapshot,
+    /// and the `hierarchies` write lock is held only to swap the clone in.
     pub fn load(&self, table: &str, batch: &RecordBatch) -> Result<()> {
         let handle = self
             .catalog
             .table(table)
             .map_err(|_| SciborqError::UnknownTable(table.to_owned()))?;
+        // Taken before the append, so a second loader waits here rather
+        // than queueing a table writer behind this load's build.
+        let _writer = self.hierarchy_writer.lock();
         handle.write().append_batch(batch)?;
-        // The layers are gathered from the base table, so read it first and
-        // only then take the hierarchy lock (the canonical table →
-        // hierarchies order). Hold the write lock across the
-        // clone-modify-swap so concurrent loads serialize instead of losing
-        // each other's updates. The hierarchy observes every row it has not
-        // yet seen rather than this batch's: a concurrent load or `adapt`
-        // may already have covered the batch, or this load may be the first
-        // to see another's.
+        // The layers are patched from the base table, so it stays
+        // read-locked until the swap (the canonical table → hierarchies
+        // order). The hierarchy observes every row it has not yet seen
+        // rather than this batch's, so a row is never counted twice.
         let base = handle.read();
-        let mut hierarchies = self.hierarchies.write();
-        if let Some(current) = hierarchies.get(table) {
-            let mut updated = (**current).clone();
-            {
-                let predicate_set = self.predicate_set.lock();
-                updated.observe_appended(&base, Some(&predicate_set))?;
-            }
-            updated.refresh(&base)?;
-            hierarchies.insert(table.to_owned(), Arc::new(updated));
-        }
+        let Some(current) = self.hierarchy(table) else {
+            return Ok(());
+        };
+        let mut updated = (*current).clone();
+        let predicate_set = self.predicate_set.lock().clone();
+        updated.observe_appended(&base, Some(&predicate_set))?;
+        self.hierarchies
+            .write()
+            .insert(table.to_owned(), Arc::new(updated));
         Ok(())
     }
 
@@ -368,8 +382,6 @@ impl ExplorationSession {
 
         let hierarchy = self.hierarchy_for(&query.table)?;
         let base_handle = self.catalog.table(&query.table).ok();
-        let base_guard = base_handle.as_ref().map(|h| h.read());
-        let base_table = base_guard.as_deref();
 
         // The outermost isolation seam: a panic that slipped past the shard
         // and level rungs (or corrupted engine state between them) abandons
@@ -377,13 +389,17 @@ impl ExplorationSession {
         // concurrent query — untouched. The engine holds no locks across an
         // evaluation, so unwinding here cannot strand shared state.
         let attempt = catch_unwind(AssertUnwindSafe(|| match query.kind {
-            QueryKind::Select => self
-                .engine
-                .execute_select(query, &hierarchy, base_table, bounds)
-                .map(QueryOutcome::Rows),
+            QueryKind::Select => {
+                let base_guard = base_handle.as_ref().map(|h| h.read());
+                self.engine
+                    .execute_select(query, &hierarchy, base_guard.as_deref(), bounds)
+                    .map(QueryOutcome::Rows)
+            }
             QueryKind::Aggregate { .. } => self
                 .engine
-                .execute_aggregate(query, &hierarchy, base_table, bounds)
+                .execute_aggregate_batch(&[(query, bounds)], &hierarchy, base_data(&base_handle))
+                .pop()
+                .expect("a batch answers every request")
                 .map(QueryOutcome::Aggregate),
         }));
         let mut result = attempt.unwrap_or_else(|_| {
@@ -454,17 +470,16 @@ impl ExplorationSession {
                 }
             };
             let base_handle = self.catalog.table(table).ok();
-            let base_guard = base_handle.as_ref().map(|h| h.read());
-            let base_table = base_guard.as_deref();
 
             let mut aggregates: Vec<usize> = Vec::new();
             for i in indices {
                 let (query, bounds) = &requests[i];
                 match query.kind {
                     QueryKind::Select => {
+                        let base_guard = base_handle.as_ref().map(|h| h.read());
                         results[i] = Some(
                             self.engine
-                                .execute_select(query, &hierarchy, base_table, bounds)
+                                .execute_select(query, &hierarchy, base_guard.as_deref(), bounds)
                                 .map(QueryOutcome::Rows),
                         );
                     }
@@ -478,9 +493,9 @@ impl ExplorationSession {
                 .iter()
                 .map(|&i| (&requests[i].0, &requests[i].1))
                 .collect();
-            let answers = self
-                .engine
-                .execute_aggregate_batch(&batch, &hierarchy, base_table);
+            let answers =
+                self.engine
+                    .execute_aggregate_batch(&batch, &hierarchy, base_data(&base_handle));
             for (i, answer) in aggregates.into_iter().zip(answers) {
                 results[i] = Some(answer.map(QueryOutcome::Aggregate));
             }
@@ -606,21 +621,23 @@ impl ExplorationSession {
             // fault) discards only the half-built clone — the serving
             // hierarchy stays the previous, fully consistent snapshot, and
             // other tables still get their rebuild.
+            // Rebuilds take the same turn as loads and build off the map's
+            // lock the same way (see `load`).
             let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<bool> {
                 #[cfg(feature = "fault-injection")]
                 sciborq_telemetry::fault_point!("maintenance.rebuild");
+                let _writer = self.hierarchy_writer.lock();
                 let guard = handle.read();
-                let mut hierarchies = self.hierarchies.write();
-                if let Some(current) = hierarchies.get(&table) {
-                    let mut updated = (**current).clone();
-                    {
-                        let predicate_set = self.predicate_set.lock();
-                        updated.rebuild_from_table(&guard, Some(&predicate_set))?;
-                    }
-                    hierarchies.insert(table.clone(), Arc::new(updated));
-                    return Ok(true);
-                }
-                Ok(false)
+                let Some(current) = self.hierarchy(&table) else {
+                    return Ok(false);
+                };
+                let mut updated = (*current).clone();
+                let predicate_set = self.predicate_set.lock().clone();
+                updated.rebuild_from_table(&guard, Some(&predicate_set))?;
+                self.hierarchies
+                    .write()
+                    .insert(table.clone(), Arc::new(updated));
+                Ok(true)
             }));
             match attempt {
                 Ok(outcome) => {
@@ -654,6 +671,12 @@ impl ExplorationSession {
         }
         Ok(decision)
     }
+}
+
+/// A catalog table as the aggregate path's base data: read-locked only if
+/// an escalation reaches it.
+fn base_data(handle: &Option<Arc<RwLock<Table>>>) -> BaseData<'_> {
+    handle.as_deref().map_or(BaseData::None, BaseData::Locked)
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ impl<T> BiasedReservoir<T> {
 }
 
 impl<T> SamplingStrategy<T> for BiasedReservoir<T> {
-    fn observe_weighted(&mut self, item: T, weight: f64) {
+    fn observe_weighted(&mut self, item: T, weight: f64) -> Option<usize> {
         self.observed += 1;
         // invalid weights are treated as "no interest" rather than panicking
         // inside a load pipeline
@@ -105,7 +105,7 @@ impl<T> SamplingStrategy<T> for BiasedReservoir<T> {
         if self.sample.len() < self.capacity {
             self.sample.push(SampledItem::new(item, weight));
             self.accepted += 1;
-            return;
+            return Some(self.sample.len() - 1);
         }
         // rnd := random(); if (cnt*rnd) < (n*N*f̆(tpl)): smp[floor(rnd*n)] := tpl
         let rnd: f64 = self.rng.gen();
@@ -114,7 +114,9 @@ impl<T> SamplingStrategy<T> for BiasedReservoir<T> {
             let victim = self.rng.gen_range(0..self.capacity);
             self.sample[victim] = SampledItem::new(item, weight);
             self.accepted += 1;
+            return Some(victim);
         }
+        None
     }
 
     fn sample(&self) -> &[SampledItem<T>] {

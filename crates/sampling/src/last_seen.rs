@@ -94,12 +94,12 @@ impl<T> LastSeenReservoir<T> {
 }
 
 impl<T> SamplingStrategy<T> for LastSeenReservoir<T> {
-    fn observe_weighted(&mut self, item: T, weight: f64) {
+    fn observe_weighted(&mut self, item: T, weight: f64) -> Option<usize> {
         self.observed += 1;
         if self.sample.len() < self.capacity {
             self.sample.push(SampledItem::new(item, weight));
             self.accepted += 1;
-            return;
+            return Some(self.sample.len() - 1);
         }
         // rnd := random(); if (D*rnd) < k: smp[floor(n*rnd)] := tpl
         let rnd: f64 = self.rng.gen();
@@ -110,7 +110,9 @@ impl<T> SamplingStrategy<T> for LastSeenReservoir<T> {
                 .min(self.capacity - 1);
             self.sample[slot] = SampledItem::new(item, weight);
             self.accepted += 1;
+            return Some(slot);
         }
+        None
     }
 
     fn sample(&self) -> &[SampledItem<T>] {

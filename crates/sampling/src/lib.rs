@@ -5,15 +5,13 @@
 //! Incremental construction of impressions follows the reservoir paradigm
 //! (Vitter 1985): a fixed capacity, sequential processing and an acceptance
 //! test per tuple. The crate implements the three strategies from the paper
-//! plus two classical baselines used in the ablation experiments:
+//! plus a classical baseline used in the ablation experiments:
 //!
 //! * [`Reservoir`] — Algorithm R, the uniform reservoir of Figure 2.
 //! * [`LastSeenReservoir`] — the recency-biased "Last Seen" strategy of
 //!   Figure 3 (fixed acceptance probability `k/D`).
 //! * [`BiasedReservoir`] — the KDE-weighted biased reservoir of Figure 6
 //!   (`P(accept t) = f̆(t)·N·n/cnt`).
-//! * [`WeightedReservoir`] — Efraimidis–Spirakis A-Res weighted sampling
-//!   without replacement (baseline).
 //! * [`StratifiedSampler`] — per-bin uniform reservoirs (baseline).
 //!
 //! All strategies are deterministic given their seed, never exceed their
@@ -29,7 +27,6 @@ pub mod last_seen;
 pub mod reservoir;
 pub mod stratified;
 pub mod traits;
-pub mod weighted;
 
 pub use biased::BiasedReservoir;
 pub use error::{Result, SamplingError};
@@ -37,4 +34,3 @@ pub use last_seen::LastSeenReservoir;
 pub use reservoir::Reservoir;
 pub use stratified::{StratifiedSampler, StratumAllocation};
 pub use traits::{SampledItem, SamplingStrategy};
-pub use weighted::WeightedReservoir;

@@ -48,16 +48,18 @@ impl<T> Reservoir<T> {
 }
 
 impl<T> SamplingStrategy<T> for Reservoir<T> {
-    fn observe_weighted(&mut self, item: T, weight: f64) {
+    fn observe_weighted(&mut self, item: T, weight: f64) -> Option<usize> {
         self.observed += 1;
         if self.sample.len() < self.capacity {
             self.sample.push(SampledItem::new(item, weight));
-            return;
+            return Some(self.sample.len() - 1);
         }
-        let rnd = self.rng.gen_range(0..self.observed);
-        if (rnd as usize) < self.capacity {
-            self.sample[rnd as usize] = SampledItem::new(item, weight);
+        let slot = self.rng.gen_range(0..self.observed) as usize;
+        if slot < self.capacity {
+            self.sample[slot] = SampledItem::new(item, weight);
+            return Some(slot);
         }
+        None
     }
 
     fn sample(&self) -> &[SampledItem<T>] {

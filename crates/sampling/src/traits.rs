@@ -34,13 +34,21 @@ impl<T> SampledItem<T> {
 /// reproducible.
 pub trait SamplingStrategy<T> {
     /// Observe the next item of the stream with a neutral weight of 1.
-    fn observe(&mut self, item: T) {
-        self.observe_weighted(item, 1.0);
+    /// Returns the slot the item was written into, as
+    /// [`SamplingStrategy::observe_weighted`] does.
+    fn observe(&mut self, item: T) -> Option<usize> {
+        self.observe_weighted(item, 1.0)
     }
 
     /// Observe the next item of the stream together with its interest
     /// weight (`f̆(t)·N` for the biased strategy; ignored by uniform ones).
-    fn observe_weighted(&mut self, item: T, weight: f64);
+    ///
+    /// Returns the index into [`SamplingStrategy::sample`] the item was
+    /// written into — a new slot while the sample fills, the evicted
+    /// victim's slot afterwards — or `None` when the item was not kept.
+    /// Every other slot is untouched, so a consumer that mirrors the sample
+    /// can update exactly the slots reported here.
+    fn observe_weighted(&mut self, item: T, weight: f64) -> Option<usize>;
 
     /// The items currently retained.
     fn sample(&self) -> &[SampledItem<T>];
@@ -86,11 +94,13 @@ mod tests {
     }
 
     impl SamplingStrategy<u64> for KeepFirst {
-        fn observe_weighted(&mut self, item: u64, weight: f64) {
+        fn observe_weighted(&mut self, item: u64, weight: f64) -> Option<usize> {
             self.observed += 1;
             if self.items.len() < self.capacity {
                 self.items.push(SampledItem::new(item, weight));
+                return Some(self.items.len() - 1);
             }
+            None
         }
         fn sample(&self) -> &[SampledItem<u64>] {
             &self.items

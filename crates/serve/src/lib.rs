@@ -36,11 +36,16 @@
 //! `sciborq-analyzer` (the lint builds the inter-procedural acquisition
 //! graph and rejects any cycle). The canonical order, outermost first:
 //!
-//! 1. `ExplorationSession` table registry (`table`)
-//! 2. impression `hierarchies`
-//! 3. `predicate_set` (workload histograms; also reached from `query_log`
+//! 1. `hierarchy_writer` — the session's writer mutex: impression
+//!    creation, loads and adaptive rebuilds take turns on it, from before a
+//!    load's append until its new hierarchy is swapped in. Queries never
+//!    take it.
+//! 2. `ExplorationSession` table registry (`table`)
+//! 3. impression `hierarchies` — a writer holds its write lock only to
+//!    insert a hierarchy it built on a clone, off the lock
+//! 4. `predicate_set` (workload histograms; also reached from `query_log`
 //!    maintenance, which therefore never holds a hierarchy lock)
-//! 4. `maintainer` (adaptive rebuild state)
+//! 5. `maintainer` (adaptive rebuild state)
 //!
 //! The serve-side locks — the scheduler `queue` and the admission
 //! controller `state` — are **leaf locks**: nothing else is ever acquired
