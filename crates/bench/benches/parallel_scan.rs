@@ -1,8 +1,9 @@
 //! Single-threaded vs sharded scan benchmark on a paper-scale table.
 //!
 //! Times the compiled-predicate kernels (`CompiledPredicate`) against their
-//! partitioned counterparts (`*_partitioned` over a [`Partitioning`] fanned
-//! out on `std::thread::scope` workers) on a 200k-row table with the
+//! partitioned counterparts (`*_partitioned`, and a row-id sink in
+//! `multi_scan` for selections, over a [`Partitioning`] fanned out on
+//! `std::thread::scope` workers) on a 200k-row table with the
 //! SkyServer column mix. Before any timing, every sharded result is
 //! cross-checked **bit for bit** against both the single-threaded kernel and
 //! the scalar oracle (`Predicate::evaluate` + `compute_aggregate`), so a
@@ -18,8 +19,9 @@
 //! honestly (`available_parallelism` is included for context).
 
 use sciborq_columnar::{
-    compute_aggregate, AggregateKind, CompiledPredicate, DataType, Field, Partitioning, Predicate,
-    RecordBatchBuilder, Schema, Table, Value,
+    compute_aggregate, multi_scan, AggregateKind, CompiledPredicate, DataType, Field,
+    MultiScanItem, Partitioning, Predicate, RecordBatchBuilder, Schema, SelectionVector, Table,
+    Value,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -87,6 +89,23 @@ impl BenchRow {
     }
 }
 
+/// The sharded selection the way the engine's SELECT path takes it: one
+/// `multi_scan` item streaming into a row-id sink.
+fn select_sharded(
+    compiled: &CompiledPredicate,
+    table: &Table,
+    parts: &Partitioning,
+) -> SelectionVector {
+    let mut rows: Vec<usize> = Vec::new();
+    let mut items = [MultiScanItem {
+        predicate: compiled,
+        sink: &mut rows,
+    }];
+    let results = multi_scan(table, &mut items, Some(parts));
+    assert!(results.iter().all(Result::is_ok), "sharded selection");
+    SelectionVector::from_sorted_rows(rows)
+}
+
 /// Verify the sharded pipeline bit for bit against the single-threaded
 /// kernels and the scalar oracle for one predicate, across all measured
 /// shard counts. Panics on any divergence.
@@ -103,9 +122,7 @@ fn verify_bit_identity(table: &Table, predicate: &Predicate, compiled: &Compiled
         .expect("fused moments");
     for shards in SHARD_COUNTS {
         let parts = Partitioning::even(table.row_count(), shards);
-        let (sel, _) = compiled
-            .evaluate_partitioned(table, &parts)
-            .expect("sharded evaluate");
+        let sel = select_sharded(compiled, table, &parts);
         assert_eq!(sel, single_sel, "sharded selection at {shards} shards");
         let (count, _) = compiled
             .count_matches_partitioned(table, &parts)
@@ -236,13 +253,7 @@ fn main() {
         let single_ns = time_ns(|| compiled.evaluate(&table).expect("kernels").len() as u64);
         for shards in SHARD_COUNTS {
             let parts = Partitioning::even(table.row_count(), shards);
-            let sharded_ns = time_ns(|| {
-                compiled
-                    .evaluate_partitioned(&table, &parts)
-                    .expect("sharded")
-                    .0
-                    .len() as u64
-            });
+            let sharded_ns = time_ns(|| select_sharded(&compiled, &table, &parts).len() as u64);
             rows.push(BenchRow {
                 name: "selection_scan",
                 threads: shards,

@@ -118,6 +118,26 @@ impl Bitmap {
         self.zeros
     }
 
+    /// Append every bit of `other`, a word at a time.
+    pub fn extend(&mut self, other: &Bitmap) {
+        let shift = self.len % 64;
+        if shift == 0 {
+            self.words.extend_from_slice(&other.words);
+        } else {
+            for &word in &other.words {
+                if let Some(last) = self.words.last_mut() {
+                    *last |= word << shift;
+                }
+                self.words.push(word >> (64 - shift));
+            }
+        }
+        self.len += other.len;
+        self.zeros += other.zeros;
+        // `other`'s bits past its end are zero, so the words kept past the
+        // new end hold no set bit: dropping them keeps the tail invariant.
+        self.words.truncate(self.len.div_ceil(64));
+    }
+
     /// The bits at the given positions (each `< len`), in the given order.
     pub fn gather(&self, rows: &[usize]) -> Bitmap {
         if self.zeros == 0 {
@@ -498,9 +518,15 @@ impl Column {
         }
     }
 
-    /// Extend this column with rows gathered from `other` at the given
-    /// positions. Both columns must share the same data type.
-    pub fn extend_gather(&mut self, other: &Column, rows: &[usize]) -> Result<()> {
+    /// Append every row of `other` (the incremental-load path). Both
+    /// columns must share the same data type.
+    ///
+    /// Columns of one encoding extend their typed vectors and validity
+    /// bitmaps wholesale (dictionary-encoded ones when they share the
+    /// dictionary). Any other pair — a plain column appended to a
+    /// dictionary-encoded one, the reverse, or two dictionaries that differ
+    /// — goes row by row through the dynamic [`Value`] path.
+    pub fn append(&mut self, other: &Column) -> Result<()> {
         if self.data_type() != other.data_type() {
             return Err(ColumnarError::TypeMismatch {
                 column: String::new(),
@@ -508,10 +534,47 @@ impl Column {
                 found: other.data_type().name(),
             });
         }
-        for &row in rows {
-            let v = other.get(row)?;
-            self.push(&v)?;
-        }
+        let more_validity = other.validity();
+        let validity = match (self, other) {
+            (Column::Int64 { values, validity }, Column::Int64 { values: more, .. }) => {
+                values.extend_from_slice(more);
+                validity
+            }
+            (Column::Float64 { values, validity }, Column::Float64 { values: more, .. }) => {
+                values.extend_from_slice(more);
+                validity
+            }
+            (Column::Bool { values, validity }, Column::Bool { values: more, .. }) => {
+                values.extend_from_slice(more);
+                validity
+            }
+            (Column::Utf8 { values, validity }, Column::Utf8 { values: more, .. }) => {
+                values.extend_from_slice(more);
+                validity
+            }
+            (
+                Column::Utf8Dict {
+                    codes,
+                    dict,
+                    validity,
+                },
+                Column::Utf8Dict {
+                    codes: more,
+                    dict: more_dict,
+                    ..
+                },
+            ) if *dict == *more_dict => {
+                codes.extend_from_slice(more);
+                validity
+            }
+            (column, other) => {
+                for row in 0..other.len() {
+                    column.push(&other.get(row)?)?;
+                }
+                return Ok(());
+            }
+        };
+        validity.extend(more_validity);
         Ok(())
     }
 
@@ -892,7 +955,8 @@ mod tests {
     fn column_gather_type_mismatch() {
         let mut a = Column::new(DataType::Int64);
         let b = Column::from_f64(vec![1.0]);
-        assert!(a.extend_gather(&b, &[0]).is_err());
+        assert!(a.append(&b).is_err());
+        assert!(a.is_empty());
     }
 
     #[test]
@@ -918,8 +982,97 @@ mod tests {
                 c.push(v).unwrap();
             }
             let mut expected = Column::new(data_type);
-            expected.extend_gather(&c, &rows).unwrap();
-            assert_eq!(c.gather(&rows).unwrap(), expected, "{data_type:?}");
+            for &row in &rows {
+                expected.push(&c.get(row).unwrap()).unwrap();
+            }
+            let gathered = c.gather(&rows).unwrap();
+            assert_eq!(gathered, expected, "{data_type:?}");
+            // appending the gathered rows is pushing them one by one
+            let mut appended = c.clone();
+            appended.append(&gathered).unwrap();
+            let mut pushed = c.clone();
+            for &row in &rows {
+                pushed.push(&c.get(row).unwrap()).unwrap();
+            }
+            assert_eq!(appended, pushed, "{data_type:?}");
+        }
+    }
+
+    /// `len` rows of `data_type`, every `null_every`-th NULL; strings come
+    /// from a five-letter alphabet starting at `first`.
+    fn patterned(data_type: DataType, len: usize, null_every: usize, first: u8) -> Column {
+        let mut c = Column::new(data_type);
+        for i in 0..len {
+            let v = match data_type {
+                _ if null_every > 0 && i % null_every == 0 => Value::Null,
+                DataType::Int64 => Value::Int64(i as i64 * 7 - 50),
+                DataType::Float64 => Value::Float64(i as f64 / 3.0),
+                DataType::Bool => Value::Bool(i % 3 == 1),
+                DataType::Utf8 => Value::Utf8(char::from(first + (i % 5) as u8).to_string()),
+            };
+            c.push(&v).unwrap();
+        }
+        c
+    }
+
+    #[test]
+    fn append_matches_pushing_row_by_row() {
+        let pushed = |base: &Column, more: &Column| {
+            let mut c = base.clone();
+            (0..more.len()).for_each(|row| c.push(&more.get(row).unwrap()).unwrap());
+            c
+        };
+        let values = |c: &Column| (0..c.len()).map(|i| c.get(i).unwrap()).collect::<Vec<_>>();
+        // plain columns: lengths straddle the bitmap's 64-row words, with
+        // and without NULLs
+        let types = [
+            DataType::Int64,
+            DataType::Float64,
+            DataType::Bool,
+            DataType::Utf8,
+        ];
+        for data_type in types {
+            for (len, more_len) in [(0, 5), (5, 0), (63, 2), (64, 64), (70, 130), (130, 70)] {
+                for null_every in [0, 4] {
+                    let base = patterned(data_type, len, null_every, b'a');
+                    let more = patterned(data_type, more_len, null_every, b'c');
+                    let mut appended = base.clone();
+                    appended.append(&more).unwrap();
+                    let context = format!("{data_type:?} {len}+{more_len} / {null_every}");
+                    assert_eq!(appended, pushed(&base, &more), "{context}");
+                }
+            }
+        }
+        // dictionary columns: one shared dictionary (typed), two that differ
+        // with new strings after or before the old ones (the old codes
+        // move), and both cross-encoding directions
+        let dict = |c: &Column| c.dict_encoded(16).unwrap();
+        for (len, more_len, first, more_first) in [
+            (10, 10, b'a', b'c'),
+            (70, 3, b'a', b'c'),
+            (3, 70, b'c', b'a'),
+        ] {
+            let base = patterned(DataType::Utf8, len, 4, first);
+            let more = patterned(DataType::Utf8, more_len, 3, more_first);
+            let context = format!("{len}+{more_len} from {first} and {more_first}");
+            let rows: Vec<usize> = (0..more_len).rev().collect();
+            let mut shared = dict(&more);
+            shared.append(&dict(&more).gather(&rows).unwrap()).unwrap();
+            assert_eq!(shared, dict(&pushed(&more, &more.gather(&rows).unwrap())));
+            let expected = pushed(&base, &more);
+            let mut both = dict(&base);
+            both.append(&dict(&more)).unwrap();
+            assert_eq!(values(&both), values(&expected), "{context}");
+            assert_eq!(
+                both.dict_parts().unwrap().1,
+                dict(&expected).dict_parts().unwrap().1
+            );
+            let mut plain_into_dict = dict(&base);
+            plain_into_dict.append(&more).unwrap();
+            assert_eq!(values(&plain_into_dict), values(&expected), "{context}");
+            let mut dict_into_plain = base.clone();
+            dict_into_plain.append(&dict(&more)).unwrap();
+            assert_eq!(dict_into_plain, expected, "{context}");
         }
     }
 

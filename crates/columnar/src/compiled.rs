@@ -308,30 +308,6 @@ impl CompiledPredicate {
         Ok(())
     }
 
-    /// Sharded [`CompiledPredicate::evaluate_with_stats`]: every shard of
-    /// `parts` is filtered by its own worker thread and the per-shard
-    /// candidate lists are concatenated in ascending shard order. Because
-    /// shards are contiguous and ascending, the concatenation *is* the
-    /// single-threaded selection — identical rows in identical order. The
-    /// per-shard [`ScanStats`] also sum to the single-threaded stats, except
-    /// that a lazily type-mismatched literal (`ErrOnValid`) checks its whole
-    /// column on every shard and reports that extra work honestly.
-    pub fn evaluate_partitioned(
-        &self,
-        table: &Table,
-        parts: &Partitioning,
-    ) -> Result<(SelectionVector, Vec<ScanStats>)> {
-        self.check_partitioning(table, parts)?;
-        let shards = self.shard_rows(table, parts)?;
-        let mut all_rows = Vec::with_capacity(shards.iter().map(|(r, _)| r.len()).sum());
-        let mut stats = Vec::with_capacity(shards.len());
-        for (rows, shard_stats) in shards {
-            all_rows.extend(rows);
-            stats.push(shard_stats);
-        }
-        Ok((SelectionVector::from_sorted_rows(all_rows), stats))
-    }
-
     /// Sharded fused filter+count: per-shard [`CountSink`]s run in parallel
     /// and the candidate counts are summed (integer addition — exact, so
     /// the total is bit-identical to [`CompiledPredicate::count_matches`]).
@@ -986,6 +962,24 @@ mod tests {
         t
     }
 
+    /// The sharded selection as the engine's SELECT path takes it: one
+    /// `multi_scan` item streaming into a row-id sink.
+    fn select_sharded(
+        c: &CompiledPredicate,
+        t: &Table,
+        parts: &Partitioning,
+    ) -> Result<(SelectionVector, ScanStats)> {
+        let mut rows: Vec<usize> = Vec::new();
+        let mut items = [MultiScanItem {
+            predicate: c,
+            sink: &mut rows,
+        }];
+        let stats = multi_scan(t, &mut items, Some(parts))
+            .pop()
+            .expect("one item, one result")?;
+        Ok((SelectionVector::from_sorted_rows(rows), stats))
+    }
+
     fn compiled(p: &Predicate, t: &Table) -> CompiledPredicate {
         CompiledPredicate::compile(p, t.schema()).unwrap()
     }
@@ -1161,14 +1155,17 @@ mod tests {
         ];
         for p in predicates {
             let c = compiled(&p, &t);
-            let single = c.evaluate(&t).unwrap();
+            let (single, single_stats) = c.evaluate_with_stats(&t).unwrap();
             let (single_count, single_count_stats) = c.count_matches(&t).unwrap();
             let (single_sketch, single_moment_stats) = c.filter_moments(&t, "r_mag").unwrap();
             for shards in [1usize, 2, 3, 5, 9] {
                 let parts = Partitioning::even(t.row_count(), shards);
-                let (sel, stats) = c.evaluate_partitioned(&t, &parts).unwrap();
+                let (sel, stats) = select_sharded(&c, &t, &parts).unwrap();
                 assert_eq!(sel, single, "selection for {p} at {shards} shards");
-                assert_eq!(stats.len(), parts.shard_count());
+                assert_eq!(
+                    stats.rows_visited, single_stats.rows_visited,
+                    "selection stats for {p} at {shards} shards"
+                );
                 let (count, count_stats) = c.count_matches_partitioned(&t, &parts).unwrap();
                 assert_eq!(count, single_count, "count for {p} at {shards} shards");
                 assert_eq!(
@@ -1205,7 +1202,7 @@ mod tests {
         let c = compiled(&p, &t);
         let parts = Partitioning::even(t.row_count(), 3);
         assert!(matches!(
-            c.evaluate_partitioned(&t, &parts),
+            select_sharded(&c, &t, &parts),
             Err(ColumnarError::TypeMismatch { .. })
         ));
         assert!(c.count_matches_partitioned(&t, &parts).is_err());
@@ -1218,7 +1215,7 @@ mod tests {
         let c = compiled(&Predicate::True, &t);
         let bad = Partitioning::even(t.row_count() + 1, 2);
         assert!(matches!(
-            c.evaluate_partitioned(&t, &bad),
+            select_sharded(&c, &t, &bad),
             Err(ColumnarError::LengthMismatch { .. })
         ));
     }
@@ -1229,7 +1226,7 @@ mod tests {
         let t = Table::new("t", schema);
         let c = CompiledPredicate::compile(&Predicate::lt("x", 1.0), t.schema()).unwrap();
         let parts = Partitioning::even(0, 4);
-        let (sel, _) = c.evaluate_partitioned(&t, &parts).unwrap();
+        let (sel, _) = select_sharded(&c, &t, &parts).unwrap();
         assert!(sel.is_empty());
         let (count, _) = c.count_matches_partitioned(&t, &parts).unwrap();
         assert_eq!(count, 0);

@@ -136,13 +136,6 @@ impl SelectionVector {
         SelectionVector { rows: out }
     }
 
-    /// Keep at most the first `n` selected rows (LIMIT applied to a
-    /// selection; §3.2 "Execution time" discusses how SciBORQ reinterprets
-    /// LIMIT as "the first n rows *of the impression*").
-    pub fn truncate(&mut self, n: usize) {
-        self.rows.truncate(n);
-    }
-
     /// Selectivity of this selection relative to a table of `len` rows.
     ///
     /// Returns 0 for an empty table.
@@ -238,15 +231,6 @@ mod tests {
             a.union(&b).intersect(&c),
             a.intersect(&c).union(&b.intersect(&c))
         );
-    }
-
-    #[test]
-    fn truncate_limits_rows() {
-        let mut a = SelectionVector::from_rows(vec![1, 2, 3, 4]);
-        a.truncate(2);
-        assert_eq!(a.rows(), &[1, 2]);
-        a.truncate(10);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -252,9 +252,8 @@ impl Table {
                 self.schema
             )));
         }
-        let all_rows: Vec<usize> = (0..batch.row_count()).collect();
         for (col, src) in self.columns.iter_mut().zip(batch.columns()) {
-            col.extend_gather(src, &all_rows)?;
+            col.append(src)?;
         }
         self.rows += batch.row_count();
         Ok(())

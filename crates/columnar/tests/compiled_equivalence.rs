@@ -27,8 +27,8 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sciborq_columnar::{
-    compute_aggregate, AggregateKind, CompareOp, CompiledPredicate, DataType, Field, Partitioning,
-    Predicate, Schema, Table, Value,
+    compute_aggregate, multi_scan, AggregateKind, CompareOp, CompiledPredicate, DataType, Field,
+    MultiScanItem, Partitioning, Predicate, ScanStats, Schema, SelectionVector, Table, Value,
 };
 
 const COLUMNS: [&str; 5] = ["id", "ra", "mag", "class", "flag"];
@@ -359,6 +359,24 @@ fn adversarial_table(rng: &mut StdRng, rows: usize, regime: NullRegime) -> Table
     t
 }
 
+/// The sharded selection as the engine's SELECT path takes it: one
+/// `multi_scan` item streaming into a row-id sink.
+fn select_sharded(
+    compiled: &CompiledPredicate,
+    table: &Table,
+    parts: &Partitioning,
+) -> sciborq_columnar::Result<(SelectionVector, ScanStats)> {
+    let mut rows: Vec<usize> = Vec::new();
+    let mut items = [MultiScanItem {
+        predicate: compiled,
+        sink: &mut rows,
+    }];
+    let stats = multi_scan(table, &mut items, Some(parts))
+        .pop()
+        .expect("one item, one result")?;
+    Ok((SelectionVector::from_sorted_rows(rows), stats))
+}
+
 /// The sharded partitioned entry points must agree with their serial
 /// counterparts: identical selection, identical count, bit-identical fused
 /// moments, and matching error-ness.
@@ -368,7 +386,7 @@ fn check_partitioned_matches_serial(table: &Table, predicate: &Predicate, shards
     let parts = Partitioning::even(table.row_count(), shards);
     match (
         compiled.evaluate(table),
-        compiled.evaluate_partitioned(table, &parts),
+        select_sharded(&compiled, table, &parts),
     ) {
         (Ok(expected), Ok((actual, _))) => {
             assert_eq!(expected, actual, "partitioned selection for {predicate}");

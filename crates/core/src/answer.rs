@@ -285,6 +285,33 @@ impl SelectAnswer {
     }
 }
 
+/// The result of executing a query: an aggregate answer or a row answer.
+#[derive(Debug, Clone)]
+pub enum QueryOutcome {
+    /// An aggregate answer with error bounds.
+    Aggregate(ApproximateAnswer),
+    /// A row-returning answer.
+    Rows(SelectAnswer),
+}
+
+impl QueryOutcome {
+    /// The aggregate answer, if this outcome is one.
+    pub fn as_aggregate(&self) -> Option<&ApproximateAnswer> {
+        match self {
+            QueryOutcome::Aggregate(a) => Some(a),
+            QueryOutcome::Rows(_) => None,
+        }
+    }
+
+    /// The row answer, if this outcome is one.
+    pub fn as_rows(&self) -> Option<&SelectAnswer> {
+        match self {
+            QueryOutcome::Rows(r) => Some(r),
+            QueryOutcome::Aggregate(_) => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

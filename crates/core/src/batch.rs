@@ -1,22 +1,26 @@
-//! Bounded aggregate execution: the escalation loop (§3.2).
+//! Bounded query execution: the escalation loop (§3.2).
 //!
-//! [`BoundedQueryEngine::execute_aggregate_batch`] answers a batch of
-//! aggregate queries over one impression hierarchy, and a single query
-//! ([`BoundedQueryEngine::execute_aggregate`]) is a batch of one — this is
-//! the one implementation of the bounded aggregate contract. Queries
-//! escalate together from the least to the most detailed admissible
-//! impression and finally into the base data, and every level is **one
-//! shared scan pass**: queries that agree on their predicate and sink
-//! flavour (see `SinkSpec`) are deduplicated into a single [`multi_scan`]
-//! item whose sketch then feeds every member's estimator.
+//! [`BoundedQueryEngine::execute_batch`] answers a batch of queries — both
+//! aggregates and SELECTs — over one impression hierarchy, and a single
+//! query is a batch of one: this is the one implementation of the bounded
+//! query contract. Queries escalate together from the least to the most
+//! detailed admissible impression and finally into the base data, and
+//! every level is **one shared scan pass**: queries that agree on their
+//! predicate and sink flavour (see `SinkSpec`) are deduplicated into a
+//! single [`multi_scan`] item whose result then feeds every member — an
+//! aggregate's estimator, or a SELECT's LIMIT and gather. Two SELECTs over
+//! one predicate share a pass whatever their LIMITs; each truncates the
+//! shared row ids to its own.
 //!
 //! Per query the loop applies the contract's rules: a level is admitted by
 //! its row count against the row budget (a level that is too big is
 //! skipped, not taken as proof that later levels are too); the wall clock
 //! is re-checked before every level and *measured* at every return, so an
-//! answer that blew its budget says so; a sampled zero never meets a finite
-//! error bound; and when nothing meets the bound, the best completed level
-//! is returned with measured flags.
+//! answer that blew its budget says so; an aggregate is done once its error
+//! bound is met (a sampled zero never meets a finite one), a SELECT once
+//! the level holds enough rows for its LIMIT (or `min_result_rows`); and
+//! when no level finishes a query, the best completed level is returned
+//! with measured flags.
 //!
 //! The degradation ladder lives here too, around each pass:
 //!
@@ -32,7 +36,9 @@
 //! 3. **Query rung** — a member left with no completed level fails typed as
 //!    `Internal { site: "engine.level" }`.
 
-use crate::answer::{ApproximateAnswer, EvaluationLevel, LevelEstimate};
+use crate::answer::{
+    ApproximateAnswer, EvaluationLevel, LevelEstimate, QueryOutcome, SelectAnswer,
+};
 use crate::engine::{BaseData, BoundedQueryEngine, QueryBounds};
 use crate::error::{Result, SciborqError};
 use crate::execution::QueryExecution;
@@ -40,8 +46,8 @@ use crate::impression::Impression;
 use crate::layer::LayerHierarchy;
 use sciborq_columnar::{
     multi_scan, numeric_source, AggregateKind, ColumnarError, CompiledPredicate, CountSink,
-    MomentSink, MomentSketch, MultiScanItem, Partitioning, ScanStats, SelectionSink, Table,
-    WeightedMomentSink, WeightedMomentSketch,
+    MomentSink, MomentSketch, MultiScanItem, Partitioning, ScanStats, SelectionSink,
+    SelectionVector, Table, WeightedMomentSink, WeightedMomentSketch,
 };
 use sciborq_stats::{ConfidenceInterval, Estimate};
 use sciborq_telemetry::FaultEventKind;
@@ -63,6 +69,8 @@ enum SinkSpec {
     Moments(String),
     /// Weighted moments over a column (SUM/AVG on a biased impression).
     WeightedMoments(String),
+    /// The matching row ids themselves (SELECT).
+    Rows,
 }
 
 impl SinkSpec {
@@ -85,6 +93,7 @@ impl SinkSpec {
                 numeric_source(table, column)?,
                 weights(),
             )),
+            SinkSpec::Rows => GroupSink::Rows(Vec::new()),
         })
     }
 }
@@ -94,6 +103,7 @@ enum GroupSink<'a> {
     Count(CountSink),
     Moments(MomentSink<'a>),
     Weighted(WeightedMomentSink<'a>),
+    Rows(Vec<usize>),
 }
 
 impl SelectionSink for GroupSink<'_> {
@@ -103,6 +113,7 @@ impl SelectionSink for GroupSink<'_> {
             GroupSink::Count(s) => s.accept(row),
             GroupSink::Moments(s) => s.accept(row),
             GroupSink::Weighted(s) => s.accept(row),
+            GroupSink::Rows(s) => s.accept(row),
         }
     }
 
@@ -114,22 +125,25 @@ impl SelectionSink for GroupSink<'_> {
             GroupSink::Count(s) => s.accept_word(base, word),
             GroupSink::Moments(s) => s.accept_word(base, word),
             GroupSink::Weighted(s) => s.accept_word(base, word),
+            GroupSink::Rows(s) => s.accept_word(base, word),
         }
     }
 }
 
 impl GroupSink<'_> {
-    fn sketch(&self) -> LevelSketch {
+    fn sketch(self) -> LevelSketch {
         match self {
             GroupSink::Count(s) => LevelSketch::Count(s.0),
             GroupSink::Moments(s) => LevelSketch::Moments(s.sketch),
             GroupSink::Weighted(s) => LevelSketch::Weighted(s.sketch),
+            // the scan emits matches in ascending row order
+            GroupSink::Rows(rows) => LevelSketch::Rows(SelectionVector::from_sorted_rows(rows)),
         }
     }
 }
 
-/// The sufficient statistics one escalation level produced for one group —
-/// the seam between scanning and estimation.
+/// What one escalation level produced for one group — the seam between
+/// scanning and estimation (or, for a SELECT, gathering).
 #[derive(Debug, Clone)]
 enum LevelSketch {
     /// A plain match count (COUNT on a self-weighted impression).
@@ -139,23 +153,38 @@ enum LevelSketch {
     /// A Hansen–Hurwitz weighted sketch (biased impressions; also carries
     /// weighted COUNTs, where no aggregation column is involved).
     Weighted(WeightedMomentSketch),
+    /// The matching rows (SELECT).
+    Rows(SelectionVector),
+}
+
+/// One query's answer at one completed level: the final answer if the
+/// level finishes the query, its best effort so far otherwise.
+enum LevelResult {
+    Aggregate {
+        value: Option<f64>,
+        interval: Option<ConfidenceInterval>,
+        error_bound_met: bool,
+    },
+    Rows {
+        rows: Table,
+        estimated_total_matches: f64,
+    },
 }
 
 /// One query's in-flight escalation state.
 struct QState<'q> {
+    /// The query, and with it its kind: an aggregate or a SELECT.
     query: &'q Query,
     bounds: &'q QueryBounds,
-    agg_kind: AggregateKind,
-    agg_column: Option<String>,
     max_error: f64,
     exec: QueryExecution,
     escalations: usize,
-    best: Option<(Option<f64>, Option<ConfidenceInterval>, EvaluationLevel)>,
-    /// Set once the query has its final result (met bound, base data,
-    /// or error); later levels skip it.
-    done: Option<Result<ApproximateAnswer>>,
-    /// Set when a level blew the wall-clock budget without meeting the
-    /// error bound: escalation stops there.
+    best: Option<(LevelResult, EvaluationLevel)>,
+    /// Set once the query has its final result (met bound, enough rows,
+    /// base data, or error); later levels skip it.
+    done: Option<Result<QueryOutcome>>,
+    /// Set when a level blew the wall-clock budget without finishing the
+    /// query: escalation stops there.
     stopped: bool,
     /// Set when a pass this query took part in was lost to a panic (the
     /// level rung of the degradation ladder). Always false on the
@@ -176,8 +205,6 @@ impl<'q> QState<'q> {
         let mut st = QState {
             query,
             bounds,
-            agg_kind: AggregateKind::Count,
-            agg_column: None,
             max_error: bounds.max_relative_error.unwrap_or(f64::INFINITY),
             exec: QueryExecution::with_parallelism(query.predicate.clone(), parallelism),
             escalations: 0,
@@ -192,16 +219,6 @@ impl<'q> QState<'q> {
         };
         if let Err(err) = bounds.validate() {
             st.fail(err);
-            return st;
-        }
-        match &query.kind {
-            QueryKind::Aggregate { kind, column } => {
-                st.agg_kind = *kind;
-                st.agg_column = column.clone();
-            }
-            QueryKind::Select => st.fail(SciborqError::InvalidConfig(
-                "execute_aggregate called with a SELECT query; use execute_select".to_owned(),
-            )),
         }
         st
     }
@@ -228,14 +245,23 @@ impl<'q> QState<'q> {
     /// The sink this query needs on an impression (weighted estimators or
     /// not), or the error its scan would raise.
     fn sink_spec(&self, weighted: bool) -> Result<SinkSpec> {
-        match self.agg_kind {
+        let (kind, column) = match &self.query.kind {
+            QueryKind::Select => return Ok(SinkSpec::Rows),
+            QueryKind::Aggregate { kind, column } => (*kind, column),
+        };
+        let column = || {
+            column
+                .clone()
+                .ok_or_else(|| SciborqError::InvalidConfig(format!("{kind} requires a column")))
+        };
+        match kind {
             AggregateKind::Count => Ok(if weighted {
                 SinkSpec::WeightedCount
             } else {
                 SinkSpec::Count
             }),
             AggregateKind::Sum | AggregateKind::Avg => {
-                let column = self.require_column()?;
+                let column = column()?;
                 Ok(if weighted {
                     SinkSpec::WeightedMoments(column)
                 } else {
@@ -243,31 +269,56 @@ impl<'q> QState<'q> {
                 })
             }
             AggregateKind::Min | AggregateKind::Max | AggregateKind::Variance => {
-                Ok(SinkSpec::Moments(self.require_column()?))
+                Ok(SinkSpec::Moments(column()?))
             }
         }
     }
 
-    fn require_column(&self) -> Result<String> {
-        self.agg_column.clone().ok_or_else(|| {
-            SciborqError::InvalidConfig(format!("{} requires a column", self.agg_kind))
-        })
-    }
-
-    /// Fold a sampled level's sketch through this query's estimator: the
-    /// level becomes the best effort so far, and the query is done once its
-    /// error bound is met.
-    fn book_estimate(
+    /// Book one completed level: its answer either finishes the query or
+    /// becomes the best effort so far. `impression` is `None` for the base
+    /// data, whose answer is always final.
+    fn book(
         &mut self,
-        impression: &Impression,
+        table: &Table,
+        impression: Option<&Impression>,
         level: EvaluationLevel,
         sketch: &LevelSketch,
     ) {
-        let (value, interval) =
-            match estimate_level(impression, self.agg_kind, self.bounds.confidence, sketch) {
-                Ok(estimate) => estimate,
-                Err(err) => return self.fail(err),
-            };
+        let query = self.query;
+        let booked = match (&query.kind, sketch) {
+            (QueryKind::Select, LevelSketch::Rows(selection)) => {
+                self.level_rows(table, impression, selection)
+            }
+            (QueryKind::Aggregate { kind, .. }, _) => match impression {
+                Some(impression) => self.level_estimate(impression, *kind, level, sketch),
+                None => exact_value(*kind, sketch).map(|value| self.level_exact(value)),
+            },
+            (QueryKind::Select, _) => Err(flavour_mismatch("SELECT")),
+        };
+        match booked {
+            Err(err) => self.fail(err),
+            Ok((result, true)) => self.finalize(result, level),
+            Ok((result, false)) => {
+                self.best = Some((result, level));
+                if !self.time_ok() {
+                    // The level blew the clock without finishing the query:
+                    // escalating further would only dig the hole deeper.
+                    self.stopped = true;
+                }
+            }
+        }
+    }
+
+    /// Fold a sampled level's sketch through this aggregate's estimator;
+    /// the level finishes the query if its error bound is met.
+    fn level_estimate(
+        &mut self,
+        impression: &Impression,
+        kind: AggregateKind,
+        level: EvaluationLevel,
+        sketch: &LevelSketch,
+    ) -> Result<(LevelResult, bool)> {
+        let (value, interval) = estimate_level(impression, kind, self.bounds.confidence, sketch)?;
         let met = self.error_bound_met(value, interval.as_ref());
         if self.tracing {
             self.estimates.push(LevelEstimate {
@@ -276,73 +327,128 @@ impl<'q> QState<'q> {
                 error_bound_met: met,
             });
         }
-        self.best = Some((value, interval, level));
-        if met {
-            self.finalize(value, interval, level, met);
-        } else if !self.time_ok() {
-            // The level blew the clock without meeting the bound: escalating
-            // further would only dig the hole deeper.
-            self.stopped = true;
-        }
+        let result = LevelResult::Aggregate {
+            value,
+            interval,
+            error_bound_met: met,
+        };
+        Ok((result, met))
     }
 
-    /// Answer exactly from the base data: exact values, degenerate
+    /// An aggregate answered exactly from the base data: degenerate
     /// intervals, no estimators involved.
-    fn book_exact(&mut self, sketch: &LevelSketch) {
-        let value = match sketch {
-            LevelSketch::Count(matched) => Some(*matched as f64),
-            LevelSketch::Moments(s) => s.aggregate(self.agg_kind),
-            LevelSketch::Weighted(_) => {
-                unreachable!("base-data groups never use weighted sinks")
-            }
-        };
+    fn level_exact(&mut self, value: Option<f64>) -> (LevelResult, bool) {
+        // analyzer:allow(bounds_honesty, reason = "base-data evaluation is exact (relative error identically zero), so any finite error bound is met by construction")
+        let error_bound_met = true;
         if self.tracing {
             self.estimates.push(LevelEstimate {
                 level: EvaluationLevel::BaseData,
                 relative_error: Some(0.0),
-                // analyzer:allow(bounds_honesty, reason = "base-data evaluation is exact (relative error identically zero), so any finite error bound is met by construction")
-                error_bound_met: true,
+                error_bound_met,
             });
         }
-        // exact: the relative error is identically zero, so any error bound
-        // is met
-        self.finalize(
+        let result = LevelResult::Aggregate {
             value,
-            value.map(ConfidenceInterval::exact),
-            EvaluationLevel::BaseData,
-            true,
-        );
+            interval: value.map(ConfidenceInterval::exact),
+            error_bound_met,
+        };
+        (result, true)
     }
 
-    fn finalize(
-        &mut self,
-        value: Option<f64>,
-        interval: Option<ConfidenceInterval>,
-        level: EvaluationLevel,
-        error_bound_met: bool,
-    ) {
+    /// A SELECT's answer at one level: "the 100 results satisfying the
+    /// impression" (§3.2) — the first LIMIT matching rows, in row order,
+    /// and the estimated number of matching base rows. An impression's
+    /// answer finishes the query once it holds enough rows for the LIMIT
+    /// (or `min_result_rows`); the base data's always does, with an exact
+    /// count.
+    fn level_rows(
+        &self,
+        table: &Table,
+        impression: Option<&Impression>,
+        selection: &SelectionVector,
+    ) -> Result<(LevelResult, bool)> {
+        let limit = self.query.limit;
+        let wanted = self.bounds.min_result_rows.or(limit).unwrap_or(usize::MAX);
+        let (estimated_total_matches, enough, name) = match impression {
+            Some(impression) => (
+                impression.estimate_count(selection)?.value,
+                selection.len() >= wanted.min(impression.row_count()),
+                impression.name(),
+            ),
+            None => (selection.len() as f64, true, table.name()),
+        };
+        let matched = selection.rows();
+        let returned = limit.map_or(matched, |limit| &matched[..limit.min(matched.len())]);
+        let rows = table.gather(returned, format!("{name}.result"))?;
+        let done = impression.is_none() || rows.row_count() >= wanted || enough && limit.is_none();
+        let result = LevelResult::Rows {
+            rows,
+            estimated_total_matches,
+        };
+        Ok((result, done))
+    }
+
+    fn finalize(&mut self, result: LevelResult, level: EvaluationLevel) {
         // time_bound_met is measured *after* the winning evaluation: meeting
         // the error bound does not excuse blowing the clock.
         let time_bound_met = self.time_ok();
-        let mut answer = ApproximateAnswer {
-            query: self.query.to_string(),
-            value,
-            interval,
-            level,
-            rows_scanned: self.exec.rows_scanned(),
-            escalations: self.escalations,
-            elapsed: self.start.elapsed(),
-            level_scans: self.exec.take_level_scans(),
-            error_bound_met,
-            time_bound_met,
-            degraded: self.degraded,
-            fault_events: self.exec.take_fault_events(),
-            trace: None,
+        let query = self.query.to_string();
+        let rows_scanned = self.exec.rows_scanned();
+        let elapsed = self.start.elapsed();
+        let level_scans = self.exec.take_level_scans();
+        let fault_events = self.exec.take_fault_events();
+        let outcome = match result {
+            LevelResult::Aggregate {
+                value,
+                interval,
+                error_bound_met,
+            } => {
+                let mut answer = ApproximateAnswer {
+                    query,
+                    value,
+                    interval,
+                    level,
+                    rows_scanned,
+                    escalations: self.escalations,
+                    elapsed,
+                    level_scans,
+                    error_bound_met,
+                    time_bound_met,
+                    degraded: self.degraded,
+                    fault_events,
+                    trace: None,
+                };
+                if self.tracing {
+                    answer.trace =
+                        Some(answer.build_trace(&self.estimates, self.bounds, self.parallelism));
+                }
+                QueryOutcome::Aggregate(answer)
+            }
+            LevelResult::Rows {
+                rows,
+                estimated_total_matches,
+            } => {
+                let mut answer = SelectAnswer {
+                    query,
+                    rows,
+                    estimated_total_matches,
+                    level,
+                    rows_scanned,
+                    escalations: self.escalations,
+                    elapsed,
+                    level_scans,
+                    time_bound_met,
+                    degraded: self.degraded,
+                    fault_events,
+                    trace: None,
+                };
+                if self.tracing {
+                    answer.trace = Some(answer.build_trace(self.bounds, self.parallelism));
+                }
+                QueryOutcome::Rows(answer)
+            }
         };
-        if self.tracing {
-            answer.trace = Some(answer.build_trace(&self.estimates, self.bounds, self.parallelism));
-        }
-        self.done = Some(Ok(answer));
+        self.done = Some(Ok(outcome));
     }
 
     fn fail(&mut self, err: SciborqError) {
@@ -363,20 +469,22 @@ struct Group {
 type GroupScan = std::result::Result<(LevelSketch, ScanStats), ColumnarError>;
 
 impl BoundedQueryEngine {
-    /// Answer a batch of aggregate queries over one hierarchy, sharing scan
-    /// passes between queries. Results come back in request order; each
-    /// query gets exactly the answer (bit for bit) it would get in a batch
-    /// of its own, including typed errors for unsatisfiable bounds.
+    /// Answer a batch of queries — aggregates and SELECTs alike — over one
+    /// hierarchy, sharing scan passes between queries. Results come back in
+    /// request order; each query gets exactly the answer (bit for bit) it
+    /// would get in a batch of its own, including typed errors for
+    /// unsatisfiable bounds.
     ///
     /// `base` is the base data (an `Option<&Table>` converts); a
     /// [`BaseData::Locked`] table is read-locked only once the impressions
-    /// have left some query unresolved.
-    pub fn execute_aggregate_batch<'a>(
+    /// have left some query unresolved, and stays locked through the base
+    /// pass and the SELECT gathers from it.
+    pub fn execute_batch<'a>(
         &self,
         requests: &[(&Query, &QueryBounds)],
         hierarchy: &LayerHierarchy,
         base: impl Into<BaseData<'a>>,
-    ) -> Vec<Result<ApproximateAnswer>> {
+    ) -> Vec<Result<QueryOutcome>> {
         let parallelism = self.config().parallelism;
         let tracing = self.config().collect_traces;
         let mut states: Vec<QState<'_>> = requests
@@ -421,7 +529,8 @@ impl BoundedQueryEngine {
         }
 
         // Base-data fall-through, still shared: exact answers for everything
-        // that is admissible within its budgets.
+        // that is admissible within its budgets. SELECTs gather their rows
+        // inside the closure, while the table is still read-locked.
         if states.iter().any(|st| st.done.is_none()) {
             base.into().with_table(|table| {
                 let base_rows = table.row_count() as u64;
@@ -448,10 +557,7 @@ impl BoundedQueryEngine {
         // Best-effort finalisation for whatever is still unresolved.
         for st in states.iter_mut().filter(|st| st.done.is_none()) {
             match st.best.take() {
-                Some((value, interval, level)) => {
-                    let met = st.error_bound_met(value, interval.as_ref());
-                    st.finalize(value, interval, level, met);
-                }
+                Some((result, level)) => st.finalize(result, level),
                 // Every admissible level was lost to an isolated panic:
                 // there is no honest estimate left to degrade to.
                 None if st.degraded => st.fail(SciborqError::Internal {
@@ -474,8 +580,8 @@ impl BoundedQueryEngine {
     /// Run one shared scan pass over `table` for the `active` queries:
     /// deduplicate (predicate, sink) pairs into groups, sweep once under the
     /// shard and level rungs of the degradation ladder, then book accounting
-    /// and estimates per member. `impression` is `None` for the base-data
-    /// pass (exact evaluation, no estimators).
+    /// and each member's level answer. `impression` is `None` for the
+    /// base-data pass (exact evaluation, no estimators).
     fn scan_level(
         &self,
         states: &mut [QState<'_>],
@@ -569,19 +675,15 @@ impl BoundedQueryEngine {
             }
         };
 
-        // Book the group scan for every member and fold the shared sketch
-        // through each member's estimator — or produce the exact base-data
-        // value.
+        // Book the group scan for every member and turn the shared result
+        // into each member's answer at this level.
         for (group, scan) in groups.iter().zip(scans) {
             match scan {
                 Ok((sketch, stats)) => {
                     for &i in &group.members {
                         let st = &mut states[i];
                         st.exec.record_scan(level, stats, shards, started);
-                        match impression {
-                            Some(impression) => st.book_estimate(impression, level, &sketch),
-                            None => st.book_exact(&sketch),
-                        }
+                        st.book(table, impression, level, &sketch);
                     }
                 }
                 Err(err) => {
@@ -682,11 +784,7 @@ fn estimate_level(
                 }),
             ));
         }
-        _ => {
-            return Err(SciborqError::InvalidConfig(format!(
-                "internal: level sketch flavour does not fit {agg_kind}"
-            )))
-        }
+        _ => return Err(flavour_mismatch(agg_kind)),
     };
     match estimate {
         Some(est) => {
@@ -695,4 +793,20 @@ fn estimate_level(
         }
         None => Ok((None, None)),
     }
+}
+
+/// An aggregate's exact value from a base-data sketch.
+fn exact_value(kind: AggregateKind, sketch: &LevelSketch) -> Result<Option<f64>> {
+    match sketch {
+        LevelSketch::Count(matched) => Ok(Some(*matched as f64)),
+        LevelSketch::Moments(s) => Ok(s.aggregate(kind)),
+        // base-data groups never use weighted sinks
+        LevelSketch::Weighted(_) | LevelSketch::Rows(_) => Err(flavour_mismatch(kind)),
+    }
+}
+
+fn flavour_mismatch(kind: impl std::fmt::Display) -> SciborqError {
+    SciborqError::InvalidConfig(format!(
+        "internal: level sketch flavour does not fit {kind}"
+    ))
 }

@@ -28,6 +28,7 @@ use sciborq_columnar::{ColumnarError, SchemaRef, Table};
 use sciborq_sampling::{
     BiasedReservoir, LastSeenReservoir, Reservoir, SampledItem, SamplingStrategy,
 };
+use sciborq_stats::BinnedKde;
 use sciborq_workload::PredicateSet;
 use std::ops::Range;
 
@@ -194,29 +195,48 @@ impl ImpressionBuilder {
         Some(changed)
     }
 
-    /// The interest weight of base row `row` under the current predicate
-    /// set: 1 for non-biased policies, the combined KDE weight otherwise.
-    fn row_weight(&self, table: &Table, row: usize, predicate_set: Option<&PredicateSet>) -> f64 {
-        if self.bias_columns.is_empty() {
-            return 1.0;
-        }
-        let Some(ps) = predicate_set else {
+    /// One interest estimator per bias column under the current predicate
+    /// set, built once for a run of [`ImpressionBuilder::row_weight`] calls
+    /// — `None` when every row weighs 1 (a non-biased policy, or no
+    /// predicate set).
+    fn interest_estimators(
+        &self,
+        predicate_set: Option<&PredicateSet>,
+    ) -> Option<Vec<Option<BinnedKde>>> {
+        let ps = predicate_set.filter(|_| !self.bias_columns.is_empty())?;
+        Some(
+            self.bias_columns
+                .iter()
+                .map(|(name, _)| ps.interest_estimator(name).ok())
+                .collect(),
+        )
+    }
+
+    /// The interest weight of base row `row`: 1 without `estimators`, the
+    /// combined KDE weight of its non-NULL bias columns otherwise (0 when
+    /// they are all NULL).
+    fn row_weight(
+        &self,
+        table: &Table,
+        row: usize,
+        estimators: Option<&[Option<BinnedKde>]>,
+    ) -> f64 {
+        let Some(estimators) = estimators else {
             return 1.0;
         };
-        let tuple: Vec<(&str, f64)> = self
+        let mut tuple = self
             .bias_columns
             .iter()
-            .filter_map(|(name, idx)| {
-                table
-                    .column_at(*idx)
-                    .and_then(|col| col.get_f64(row))
-                    .map(|v| (name.as_str(), v))
+            .zip(estimators)
+            .filter_map(|((_, idx), kde)| {
+                let value = table.column_at(*idx)?.get_f64(row)?;
+                Some((kde.as_ref(), value))
             })
-            .collect();
-        if tuple.is_empty() {
+            .peekable();
+        if tuple.peek().is_none() {
             0.0
         } else {
-            ps.combined_weight(&tuple)
+            PredicateSet::combined_weight(tuple)
         }
     }
 
@@ -296,8 +316,9 @@ impl ImpressionBuilder {
             }
             .into());
         }
+        let estimators = self.interest_estimators(predicate_set);
         for row in rows {
-            let weight = self.row_weight(table, row, predicate_set);
+            let weight = self.row_weight(table, row, estimators.as_deref());
             let weight = self.effective_weight(weight);
             self.total_observed_weight += weight;
             let slot = self.sampler.observe(row, weight);

@@ -2,32 +2,6 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Storage class an impression is expected to live in, driven by its memory
-/// footprint (§3: "depending on their size, an impression fits either in the
-/// CPU cache, or the main memory of a workstation, or resides on the disk").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
-pub enum StorageClass {
-    /// Fits comfortably within a CPU last-level cache.
-    CpuCache,
-    /// Fits in the main memory of a workstation.
-    MainMemory,
-    /// Must live on disk (or a cluster).
-    Disk,
-}
-
-impl StorageClass {
-    /// Classify a byte size using the configured thresholds.
-    pub fn classify(bytes: usize, config: &SciborqConfig) -> StorageClass {
-        if bytes <= config.cpu_cache_bytes {
-            StorageClass::CpuCache
-        } else if bytes <= config.main_memory_bytes {
-            StorageClass::MainMemory
-        } else {
-            StorageClass::Disk
-        }
-    }
-}
-
 /// Global configuration of the SciBORQ framework.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SciborqConfig {
@@ -51,10 +25,6 @@ pub struct SciborqConfig {
     /// Threshold (× uniform frequency) for a histogram bin to count as a
     /// focal region.
     pub focal_threshold: f64,
-    /// Byte budget treated as "fits in CPU cache".
-    pub cpu_cache_bytes: usize,
-    /// Byte budget treated as "fits in main memory".
-    pub main_memory_bytes: usize,
     /// Maximum number of scan shards (worker threads) the engine may fan a
     /// single scan out to. `1` keeps every scan on the calling thread.
     /// Larger tables (base-data fallbacks, big impressions) are split into
@@ -92,8 +62,6 @@ impl Default for SciborqConfig {
             predicate_bins: 24,
             adapt_threshold: 0.5,
             focal_threshold: 2.0,
-            cpu_cache_bytes: 8 << 20,   // 8 MiB
-            main_memory_bytes: 4 << 30, // 4 GiB
             parallelism: 1,
             query_log_capacity: 10_000,
             collect_traces: false,
@@ -137,12 +105,6 @@ impl SciborqConfig {
         }
         if !(self.focal_threshold > 0.0) {
             return Err("focal_threshold must be positive".to_owned());
-        }
-        if self.cpu_cache_bytes == 0 {
-            return Err("cpu_cache_bytes must be positive".to_owned());
-        }
-        if self.main_memory_bytes < self.cpu_cache_bytes {
-            return Err("main_memory_bytes must be at least cpu_cache_bytes".to_owned());
         }
         if self.parallelism == 0 {
             return Err("parallelism must be at least 1".to_owned());
@@ -201,20 +163,6 @@ impl SciborqConfig {
     /// threshold set to `threshold`.
     pub fn with_focal_threshold(mut self, threshold: f64) -> Self {
         self.focal_threshold = threshold;
-        self
-    }
-
-    /// A copy of this configuration with the CPU-cache byte budget set to
-    /// `bytes`.
-    pub fn with_cpu_cache_bytes(mut self, bytes: usize) -> Self {
-        self.cpu_cache_bytes = bytes;
-        self
-    }
-
-    /// A copy of this configuration with the main-memory byte budget set
-    /// to `bytes`.
-    pub fn with_main_memory_bytes(mut self, bytes: usize) -> Self {
-        self.main_memory_bytes = bytes;
         self
     }
 
@@ -296,12 +244,6 @@ mod tests {
         c.focal_threshold = f64::NAN;
         assert!(c.validate().is_err());
         c = SciborqConfig::default();
-        c.cpu_cache_bytes = 0;
-        assert!(c.validate().is_err());
-        c = SciborqConfig::default();
-        c.main_memory_bytes = c.cpu_cache_bytes - 1;
-        assert!(c.validate().is_err());
-        c = SciborqConfig::default();
         c.parallelism = 0;
         assert!(c.validate().is_err());
         c = SciborqConfig::default();
@@ -321,9 +263,7 @@ mod tests {
             .with_seed(7)
             .with_predicate_bins(12)
             .with_adapt_threshold(0.25)
-            .with_focal_threshold(3.0)
-            .with_cpu_cache_bytes(1 << 20)
-            .with_main_memory_bytes(1 << 30);
+            .with_focal_threshold(3.0);
         assert_eq!(c.layer_sizes, vec![2_000, 200]);
         assert_eq!(c.confidence, 0.99);
         assert_eq!(c.default_max_error, 0.05);
@@ -331,8 +271,6 @@ mod tests {
         assert_eq!(c.predicate_bins, 12);
         assert_eq!(c.adapt_threshold, 0.25);
         assert_eq!(c.focal_threshold, 3.0);
-        assert_eq!(c.cpu_cache_bytes, 1 << 20);
-        assert_eq!(c.main_memory_bytes, 1 << 30);
         assert!(c.validate().is_ok());
     }
 
@@ -360,18 +298,5 @@ mod tests {
         assert!(c.collect_traces);
         assert_eq!(c.trace_capacity, 8);
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn storage_classification() {
-        let c = SciborqConfig::default();
-        assert_eq!(StorageClass::classify(1024, &c), StorageClass::CpuCache);
-        assert_eq!(
-            StorageClass::classify(64 << 20, &c),
-            StorageClass::MainMemory
-        );
-        assert_eq!(StorageClass::classify(8 << 30, &c), StorageClass::Disk);
-        assert!(StorageClass::CpuCache < StorageClass::MainMemory);
-        assert!(StorageClass::MainMemory < StorageClass::Disk);
     }
 }

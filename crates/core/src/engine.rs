@@ -14,32 +14,28 @@
 //! its best effort flagged `time_bound_met: false`, never a bound it did not
 //! actually keep.
 //!
-//! This module holds the bounds, the engine and its SELECT loop. Aggregate
-//! queries have one escalation loop, in [`crate::batch`]:
-//! [`BoundedQueryEngine::execute_aggregate`] is a batch of one through
-//! [`BoundedQueryEngine::execute_aggregate_batch`], which also carries the
-//! aggregate path's degradation ladder. Scans over the base data and large
-//! impressions fan out across the shards configured by
-//! [`SciborqConfig::parallelism`]; the merge order is fixed, so sharded
-//! answers are bit-identical to single-threaded ones.
+//! This module holds the bounds and the engine. Every query kind has the
+//! one escalation loop in [`crate::batch`],
+//! [`BoundedQueryEngine::execute_batch`], which also carries the
+//! degradation ladder; [`BoundedQueryEngine::execute_aggregate`] is a batch
+//! of one. Scans over the base data and large impressions fan out across
+//! the shards configured by [`SciborqConfig::parallelism`]; the merge order
+//! is fixed, so sharded answers are bit-identical to single-threaded ones.
 
-use crate::answer::{ApproximateAnswer, EvaluationLevel, SelectAnswer};
+use crate::answer::{ApproximateAnswer, QueryOutcome};
 use crate::config::SciborqConfig;
 use crate::error::{Result, SciborqError};
-use crate::execution::QueryExecution;
 use crate::layer::LayerHierarchy;
 use parking_lot::RwLock;
 use sciborq_columnar::Table;
-use sciborq_telemetry::FaultEventKind;
-use sciborq_workload::{Query, QueryKind};
+use sciborq_workload::Query;
 use serde::{Deserialize, Serialize};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// The base data an aggregate query may fall through to. A locked table is
-/// read only if some query's escalation actually reaches the base level, so
-/// queries answered by an impression never hold the table's read lock (and
-/// never hold up a load appending to it).
+/// The base data a query may fall through to. A locked table is read only
+/// if some query's escalation actually reaches the base level, so queries
+/// answered by an impression never hold the table's read lock (and never
+/// hold up a load appending to it).
 #[derive(Debug, Clone, Copy)]
 pub enum BaseData<'a> {
     /// No base fall-through: impressions only.
@@ -181,8 +177,9 @@ impl BoundedQueryEngine {
     /// `base_table` is the ground-truth table used when no impression can
     /// satisfy the error bound within the runtime budget (layer 0). The
     /// query runs as a batch of one through
-    /// [`BoundedQueryEngine::execute_aggregate_batch`], the one aggregate
-    /// escalation loop.
+    /// [`BoundedQueryEngine::execute_batch`], the one escalation loop; a
+    /// SELECT is rejected with a typed error (it answers with rows, through
+    /// `execute_batch`).
     pub fn execute_aggregate(
         &self,
         query: &Query,
@@ -190,203 +187,15 @@ impl BoundedQueryEngine {
         base_table: Option<&Table>,
         bounds: &QueryBounds,
     ) -> Result<ApproximateAnswer> {
-        self.execute_aggregate_batch(&[(query, bounds)], hierarchy, base_table)
+        match self
+            .execute_batch(&[(query, bounds)], hierarchy, base_table)
             .pop()
-            .expect("a batch answers every request")
-    }
-
-    /// Answer a SELECT query: return rows drawn from the smallest impression
-    /// that can satisfy the LIMIT / minimum row count, escalating otherwise
-    /// (§3.2 "the equivalent query with a LIMIT 100 clause will not return
-    /// the first 100 results, but the 100 results satisfying the
-    /// impression").
-    pub fn execute_select(
-        &self,
-        query: &Query,
-        hierarchy: &LayerHierarchy,
-        base_table: Option<&Table>,
-        bounds: &QueryBounds,
-    ) -> Result<SelectAnswer> {
-        bounds.validate()?;
-        if !matches!(query.kind, QueryKind::Select) {
-            return Err(SciborqError::InvalidConfig(
-                "execute_select called with an aggregate query".to_owned(),
-            ));
-        }
-        let start = Instant::now();
-        let wanted = bounds.min_result_rows.or(query.limit).unwrap_or(usize::MAX);
-        // The same honest wall-clock rule as the aggregate path: the budget
-        // gates escalation and the outcome is reported, never assumed.
-        let time_ok = || {
-            bounds
-                .time_budget
-                .is_none_or(|budget| start.elapsed() <= budget)
-        };
-        let exec =
-            QueryExecution::with_parallelism(query.predicate.clone(), self.config.parallelism);
-        let tracing = self.config.collect_traces;
-        let mut escalations = 0usize;
-        let mut best: Option<(Table, f64, EvaluationLevel)> = None;
-        // Same degradation ladder as the aggregate path: a level lost to a
-        // caught panic is skipped and the eventual answer flagged.
-        let mut degraded = false;
-
-        for impression in hierarchy.escalation_order() {
-            let level_rows = impression.row_count() as u64;
-            if let Some(budget) = bounds.max_rows_scanned {
-                if level_rows > budget {
-                    // don't assume sorted escalation order — a later level
-                    // may still be admissible
-                    continue;
-                }
-            }
-            // Stop escalating once the wall-clock budget is spent (but
-            // always evaluate at least one admissible level).
-            if best.is_some() && !time_ok() {
-                break;
-            }
-            if best.is_some() {
-                escalations += 1;
-            }
-            let level = EvaluationLevel::Layer(impression.layer());
-            // Isolate the level like the aggregate path: a panicked level
-            // is skipped (degrading the answer), not fatal to the query.
-            let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(Table, f64, bool)> {
-                #[cfg(feature = "fault-injection")]
-                sciborq_telemetry::fault_point!("engine.level");
-                let mut selection = exec.selection(level, impression.data())?;
-                let estimated = impression.estimate_count(&selection)?.value;
-                let enough = selection.len() >= wanted.min(impression.row_count());
-                if let Some(limit) = query.limit {
-                    selection.truncate(limit);
-                }
-                let result = impression
-                    .data()
-                    .gather(selection.rows(), format!("{}.result", impression.name()))?;
-                let got_enough = result.row_count() >= wanted || enough && query.limit.is_none();
-                Ok((result, estimated, got_enough))
-            }));
-            let (result, estimated, got_enough) = match attempt {
-                Ok(outcome) => outcome?,
-                Err(_) => {
-                    exec.record_fault("engine.level", FaultEventKind::Degradation);
-                    degraded = true;
-                    continue;
-                }
-            };
-            best = Some((result, estimated, level));
-            if got_enough {
-                let (rows, estimated_total_matches, level) = best.expect("just set");
-                let time_bound_met = time_ok();
-                let mut answer = SelectAnswer {
-                    query: query.to_string(),
-                    rows,
-                    estimated_total_matches,
-                    level,
-                    rows_scanned: exec.rows_scanned(),
-                    escalations,
-                    elapsed: start.elapsed(),
-                    level_scans: exec.take_level_scans(),
-                    time_bound_met,
-                    degraded,
-                    fault_events: exec.take_fault_events(),
-                    trace: None,
-                };
-                if tracing {
-                    answer.trace = Some(answer.build_trace(bounds, self.config.parallelism));
-                }
-                return Ok(answer);
-            }
-            if !time_ok() {
-                break;
-            }
-        }
-
-        // Escalate to the base data if allowed and still not enough rows.
-        if let Some(table) = base_table {
-            let admissible = bounds
-                .max_rows_scanned
-                .is_none_or(|budget| table.row_count() as u64 <= budget);
-            if admissible && time_ok() {
-                if best.is_some() {
-                    escalations += 1;
-                }
-                let attempt = catch_unwind(AssertUnwindSafe(|| -> Result<(Table, f64)> {
-                    #[cfg(feature = "fault-injection")]
-                    sciborq_telemetry::fault_point!("engine.level");
-                    let mut selection = exec.selection(EvaluationLevel::BaseData, table)?;
-                    let total = selection.len() as f64;
-                    if let Some(limit) = query.limit {
-                        selection.truncate(limit);
-                    }
-                    let rows =
-                        table.gather(selection.rows(), format!("{}.result", table.name()))?;
-                    Ok((rows, total))
-                }));
-                match attempt {
-                    Ok(outcome) => {
-                        let (rows, total) = outcome?;
-                        let time_bound_met = time_ok();
-                        let mut answer = SelectAnswer {
-                            query: query.to_string(),
-                            rows,
-                            estimated_total_matches: total,
-                            level: EvaluationLevel::BaseData,
-                            rows_scanned: exec.rows_scanned(),
-                            escalations,
-                            elapsed: start.elapsed(),
-                            level_scans: exec.take_level_scans(),
-                            time_bound_met,
-                            degraded,
-                            fault_events: exec.take_fault_events(),
-                            trace: None,
-                        };
-                        if tracing {
-                            answer.trace =
-                                Some(answer.build_trace(bounds, self.config.parallelism));
-                        }
-                        return Ok(answer);
-                    }
-                    Err(_) => {
-                        exec.record_fault("engine.level", FaultEventKind::Degradation);
-                        degraded = true;
-                    }
-                }
-            }
-        }
-
-        match best {
-            Some((rows, estimated_total_matches, level)) => {
-                let time_bound_met = time_ok();
-                let mut answer = SelectAnswer {
-                    query: query.to_string(),
-                    rows,
-                    estimated_total_matches,
-                    level,
-                    rows_scanned: exec.rows_scanned(),
-                    escalations,
-                    elapsed: start.elapsed(),
-                    level_scans: exec.take_level_scans(),
-                    time_bound_met,
-                    degraded,
-                    fault_events: exec.take_fault_events(),
-                    trace: None,
-                };
-                if tracing {
-                    answer.trace = Some(answer.build_trace(bounds, self.config.parallelism));
-                }
-                Ok(answer)
-            }
-            // Every level was lost to an isolated panic: nothing honest is
-            // left to return, so the query fails typed.
-            None if degraded => Err(SciborqError::Internal {
-                site: "engine.level".to_owned(),
-            }),
-            None => Err(SciborqError::BoundsUnsatisfiable(format!(
-                "no impression of {} fits a row budget of {:?}",
-                hierarchy.source_table(),
-                bounds.max_rows_scanned
-            ))),
+            .expect("a batch answers every request")?
+        {
+            QueryOutcome::Aggregate(answer) => Ok(answer),
+            QueryOutcome::Rows(_) => Err(SciborqError::InvalidConfig(
+                "execute_aggregate called with a SELECT query; use execute_batch".to_owned(),
+            )),
         }
     }
 }
@@ -394,6 +203,7 @@ impl BoundedQueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::answer::{EvaluationLevel, SelectAnswer};
     use crate::policy::SamplingPolicy;
     use sciborq_columnar::{
         AggregateKind, DataType, Field, Predicate, RecordBatchBuilder, Schema, SchemaRef, Value,
@@ -431,6 +241,24 @@ mod tests {
 
     fn engine() -> BoundedQueryEngine {
         BoundedQueryEngine::new(SciborqConfig::default()).unwrap()
+    }
+
+    /// A SELECT as a batch of one.
+    fn select(
+        engine: &BoundedQueryEngine,
+        query: &Query,
+        h: &LayerHierarchy,
+        table: &Table,
+        bounds: &QueryBounds,
+    ) -> Result<SelectAnswer> {
+        match engine
+            .execute_batch(&[(query, bounds)], h, Some(table))
+            .pop()
+            .unwrap()?
+        {
+            QueryOutcome::Rows(answer) => Ok(answer),
+            QueryOutcome::Aggregate(_) => panic!("a SELECT answers with rows"),
+        }
     }
 
     #[test]
@@ -694,9 +522,7 @@ mod tests {
             time_budget: Some(Duration::ZERO),
             ..QueryBounds::default()
         };
-        let answer = engine()
-            .execute_select(&query, &h, Some(&table), &bounds)
-            .unwrap();
+        let answer = select(&engine(), &query, &h, &table, &bounds).unwrap();
         assert_eq!(answer.level, EvaluationLevel::Layer(2));
         assert_eq!(answer.escalations, 0);
         assert!(answer.returned_rows() < 50);
@@ -704,9 +530,7 @@ mod tests {
 
         // without a time budget the same query escalates and reports the
         // (trivially satisfied) bound as met
-        let unbounded = engine()
-            .execute_select(&query, &h, Some(&table), &QueryBounds::default())
-            .unwrap();
+        let unbounded = select(&engine(), &query, &h, &table, &QueryBounds::default()).unwrap();
         assert!(unbounded.escalations >= 1);
         assert!(unbounded.time_bound_met);
     }
@@ -854,9 +678,7 @@ mod tests {
 
         // SELECT traces carry levels too
         let sel = Query::select("photoobj", Predicate::lt("ra", 36.0)).with_limit(10);
-        let answer = traced_engine
-            .execute_select(&sel, &h, Some(&table), &QueryBounds::default())
-            .unwrap();
+        let answer = select(&traced_engine, &sel, &h, &table, &QueryBounds::default()).unwrap();
         let trace = answer.trace.expect("select trace");
         assert!(!trace.levels.is_empty());
         assert_eq!(trace.final_level, answer.level.name());
@@ -870,10 +692,13 @@ mod tests {
         assert!(engine()
             .execute_aggregate(&query, &h, Some(&table), &QueryBounds::default())
             .is_err());
+        // the batch entry point answers both kinds
         let agg = Query::count("photoobj", Predicate::True);
-        assert!(engine()
-            .execute_select(&agg, &h, Some(&table), &QueryBounds::default())
-            .is_err());
+        let bounds = QueryBounds::default();
+        let answers =
+            engine().execute_batch(&[(&query, &bounds), (&agg, &bounds)], &h, Some(&table));
+        assert!(answers[0].as_ref().unwrap().as_rows().is_some());
+        assert!(answers[1].as_ref().unwrap().as_aggregate().is_some());
     }
 
     #[test]
@@ -881,9 +706,7 @@ mod tests {
         let table = base_table(100_000);
         let h = hierarchy(&table, vec![10_000, 1_000]);
         let query = Query::select("photoobj", Predicate::lt("ra", 180.0)).with_limit(100);
-        let answer = engine()
-            .execute_select(&query, &h, Some(&table), &QueryBounds::default())
-            .unwrap();
+        let answer = select(&engine(), &query, &h, &table, &QueryBounds::default()).unwrap();
         assert_eq!(answer.returned_rows(), 100);
         assert_eq!(answer.level, EvaluationLevel::Layer(2));
         // the returned rows all satisfy the predicate
@@ -899,9 +722,7 @@ mod tests {
         let h = hierarchy(&table, vec![10_000, 500]);
         // 0.5% selectivity: the 500-row layer holds ~2-3 matches, not 50
         let query = Query::select("photoobj", Predicate::lt("ra", 1.8)).with_limit(50);
-        let answer = engine()
-            .execute_select(&query, &h, Some(&table), &QueryBounds::default())
-            .unwrap();
+        let answer = select(&engine(), &query, &h, &table, &QueryBounds::default()).unwrap();
         assert!(answer.returned_rows() >= 50 || answer.level == EvaluationLevel::BaseData);
         assert!(answer.escalations >= 1);
     }
@@ -911,9 +732,7 @@ mod tests {
         let table = base_table(5_000);
         let h = hierarchy(&table, vec![500]);
         let query = Query::select("photoobj", Predicate::lt("ra", 36.0));
-        let answer = engine()
-            .execute_select(&query, &h, Some(&table), &QueryBounds::default())
-            .unwrap();
+        let answer = select(&engine(), &query, &h, &table, &QueryBounds::default()).unwrap();
         assert_eq!(answer.level, EvaluationLevel::BaseData);
         // ra < 36 matches i % 3600 < 360: one full cycle plus the partial
         // cycle 3600..5000 contributes another 360.
@@ -926,9 +745,7 @@ mod tests {
         let h = hierarchy(&table, vec![10_000, 1_000]);
         let query = Query::select("photoobj", Predicate::lt("ra", 1.8)).with_limit(500);
         let bounds = QueryBounds::row_budget(1_000);
-        let answer = engine()
-            .execute_select(&query, &h, Some(&table), &bounds)
-            .unwrap();
+        let answer = select(&engine(), &query, &h, &table, &bounds).unwrap();
         // cannot satisfy 500 matches from a 1000-row impression at 0.5%
         // selectivity, but the budget forbids escalation
         assert_eq!(answer.level, EvaluationLevel::Layer(2));

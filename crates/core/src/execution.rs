@@ -15,19 +15,16 @@
 //!
 //! All state lives behind interior mutability (`RwLock` for the compiled
 //! predicate, `Mutex` for the scan and fault records), so an execution can
-//! be driven through `&self`: the aggregate path's shared scan passes (see
-//! [`crate::batch`]) feed many executions from one sweep, each booking its
-//! own accounting through [`QueryExecution::record_scan`], while the SELECT
-//! path scans through [`QueryExecution::selection`].
+//! be driven through `&self`: the engine's shared scan passes (see
+//! [`crate::batch`]) feed many executions from one sweep — aggregates and
+//! SELECTs alike — each booking its own accounting through
+//! [`QueryExecution::record_scan`].
 
 use crate::answer::{EvaluationLevel, LevelScan};
 use crate::error::Result;
 use parking_lot::{Mutex, RwLock};
-use sciborq_columnar::{
-    CompiledPredicate, Partitioning, Predicate, ScanStats, SelectionVector, Table,
-};
+use sciborq_columnar::{CompiledPredicate, Partitioning, Predicate, ScanStats, Table};
 use sciborq_telemetry::{FaultEvent, FaultEventKind};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -144,42 +141,6 @@ impl QueryExecution {
         std::mem::take(&mut *self.faults.lock())
     }
 
-    /// Materialise the selection of qualifying rows at `level` (the SELECT
-    /// path). The scan fans out when [`QueryExecution::partitioning`] says
-    /// so, isolating shard panics: a fan-out that panics (a poisoned shard
-    /// worker, or an injected `scan.shard` fault) is caught and the level is
-    /// redone with the serial kernel — the first rung of the degradation
-    /// ladder. The serial kernel is bit-identical to the sharded one, so a
-    /// recovered scan changes no answer bits; the recovery is recorded via
-    /// [`QueryExecution::record_fault`] so telemetry counters and the query
-    /// trace still see it.
-    pub fn selection(&self, level: EvaluationLevel, table: &Table) -> Result<SelectionVector> {
-        let started = Instant::now();
-        let compiled = self.compiled_for(table)?;
-        if let Some(parts) = self.partitioning(table.row_count()) {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-injection")]
-                sciborq_telemetry::fault_point!("scan.shard");
-                compiled.evaluate_partitioned(table, &parts)
-            }));
-            match attempt {
-                Ok(result) => {
-                    let (selection, per_shard) = result?;
-                    let mut stats = ScanStats::default();
-                    for shard in &per_shard {
-                        stats.merge(shard);
-                    }
-                    self.record_scan(level, stats, parts.shard_count(), started);
-                    return Ok(selection);
-                }
-                Err(_) => self.record_fault("scan.shard", FaultEventKind::Recovery),
-            }
-        }
-        let (selection, stats) = compiled.evaluate_with_stats(table)?;
-        self.record_scan(level, stats, 1, started);
-        Ok(selection)
-    }
-
     /// Total measured rows visited by the scan kernels so far.
     pub fn rows_scanned(&self) -> u64 {
         self.levels.lock().iter().map(|l| l.rows_scanned).sum()
@@ -210,6 +171,27 @@ mod tests {
         Value,
     };
 
+    /// One level's matching rows, taken the way the engine's shared pass
+    /// takes a SELECT's: a row-id sink in a `multi_scan`, fanned out when
+    /// the execution says so, and booked through `record_scan`.
+    fn select_rows(exec: &QueryExecution, level: EvaluationLevel, table: &Table) -> Vec<usize> {
+        let compiled = exec.compiled_for(table).unwrap();
+        let parts = exec.partitioning(table.row_count());
+        let started = Instant::now();
+        let mut rows: Vec<usize> = Vec::new();
+        let mut items = [MultiScanItem {
+            predicate: &compiled,
+            sink: &mut rows,
+        }];
+        let stats = multi_scan(table, &mut items, parts.as_ref())
+            .pop()
+            .unwrap()
+            .unwrap();
+        let shards = parts.map_or(1, |p| p.shard_count());
+        exec.record_scan(level, stats, shards, started);
+        rows
+    }
+
     fn table(rows: usize) -> Table {
         let schema = Schema::shared(vec![
             Field::new("ra", DataType::Float64),
@@ -237,10 +219,10 @@ mod tests {
             )
             .unwrap();
         let exec = QueryExecution::new(Predicate::lt("ra", 10.0));
-        let a = exec.selection(EvaluationLevel::Layer(2), &small).unwrap();
+        let a = select_rows(&exec, EvaluationLevel::Layer(2), &small);
         assert_eq!(a.len(), 10);
         let compiled_before = exec.compiled.read().clone().expect("compiled on first use");
-        let b = exec.selection(EvaluationLevel::Layer(1), &big).unwrap();
+        let b = select_rows(&exec, EvaluationLevel::Layer(1), &big);
         assert_eq!(b.len(), 10);
         // the impression shares the base schema: no recompilation happened
         let compiled_after = exec.compiled.read().clone().expect("still compiled");
@@ -286,9 +268,9 @@ mod tests {
     fn merges_same_level_and_separates_new_levels() {
         let t = table(10);
         let exec = QueryExecution::new(Predicate::True);
-        exec.selection(EvaluationLevel::Layer(1), &t).unwrap();
-        exec.selection(EvaluationLevel::Layer(1), &t).unwrap();
-        exec.selection(EvaluationLevel::BaseData, &t).unwrap();
+        select_rows(&exec, EvaluationLevel::Layer(1), &t);
+        select_rows(&exec, EvaluationLevel::Layer(1), &t);
+        select_rows(&exec, EvaluationLevel::BaseData, &t);
         let scans = exec.take_level_scans();
         assert_eq!(scans.len(), 2);
         assert_eq!(scans[0].rows_scanned, 20);

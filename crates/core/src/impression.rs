@@ -20,7 +20,6 @@
 //! row's probability is the constant `1/cnt` and their estimators never
 //! read it per row.
 
-use crate::config::{SciborqConfig, StorageClass};
 use crate::error::{Result, SciborqError};
 use crate::policy::SamplingPolicy;
 use sciborq_columnar::{MomentSketch, SelectionVector, Table};
@@ -231,11 +230,6 @@ impl Impression {
     /// selection-probability slice).
     pub fn byte_size(&self) -> usize {
         self.data.byte_size() + (self.weights.len() + self.probabilities.len()) * 8
-    }
-
-    /// The storage class (CPU cache / RAM / disk) this impression falls in.
-    pub fn storage_class(&self, config: &SciborqConfig) -> StorageClass {
-        StorageClass::classify(self.byte_size(), config)
     }
 
     /// The uniform single-draw probability `1/cnt` (the self-weighted
@@ -534,10 +528,6 @@ mod tests {
         assert_eq!(imp.policy().name(), "uniform");
         assert_eq!(imp.weights().len(), 4);
         assert!(imp.byte_size() > 0);
-        assert_eq!(
-            imp.storage_class(&SciborqConfig::default()),
-            StorageClass::CpuCache
-        );
     }
 
     #[test]

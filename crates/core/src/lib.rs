@@ -19,8 +19,9 @@
 //! * [`layer`] — recursive multi-layer hierarchies (§3.1 "Layers").
 //! * [`policy`] — uniform / Last-Seen / KDE-biased sampling policies.
 //! * [`engine`] — bounded query processing with error/runtime bounds and
-//!   escalation (§3.2); [`batch`] holds the one aggregate escalation loop,
-//!   shared scan passes and the degradation ladder included.
+//!   escalation (§3.2); [`batch`] holds the one escalation loop for
+//!   aggregates and SELECTs, shared scan passes and the degradation ladder
+//!   included.
 //! * [`maintenance`] — workload-shift detection and adaptive rebuilding
 //!   (§3.1 "Adaptive").
 //! * [`session`] — the full exploration loop: log queries, adapt, load,
@@ -79,9 +80,11 @@ pub mod maintenance;
 pub mod policy;
 pub mod session;
 
-pub use answer::{ApproximateAnswer, EvaluationLevel, LevelEstimate, LevelScan, SelectAnswer};
+pub use answer::{
+    ApproximateAnswer, EvaluationLevel, LevelEstimate, LevelScan, QueryOutcome, SelectAnswer,
+};
 pub use builder::ImpressionBuilder;
-pub use config::{SciborqConfig, StorageClass};
+pub use config::SciborqConfig;
 pub use engine::{BaseData, BoundedQueryEngine, QueryBounds};
 pub use error::{Result, SciborqError};
 pub use execution::QueryExecution;
@@ -89,7 +92,7 @@ pub use impression::{Impression, DICT_MAX_CARDINALITY};
 pub use layer::LayerHierarchy;
 pub use maintenance::{AdaptiveMaintainer, MaintenanceDecision};
 pub use policy::SamplingPolicy;
-pub use session::{ExplorationSession, QueryOutcome, ScanProfile};
+pub use session::{ExplorationSession, ScanProfile};
 
 // Telemetry types that appear in core signatures (answer traces, session
 // metrics), re-exported so downstream crates need not name the telemetry

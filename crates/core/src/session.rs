@@ -11,8 +11,8 @@
 //! writer lock over the hierarchy map with clone-and-swap updates), so a
 //! serving front end can drive one session from many threads through
 //! `&self` — including [`ExplorationSession::execute_batch`], which answers
-//! several aggregate queries over the same table in one shared scan pass
-//! per escalation level.
+//! several queries over the same table in one shared scan pass per
+//! escalation level. A lone query is a batch of one.
 //!
 //! Writers of the hierarchy map (impression creation, loads, adaptive
 //! rebuilds) take turns on one writer mutex and build their new hierarchy
@@ -21,7 +21,7 @@
 //! a pointer swap, never for a load's sampling work, and no update is lost
 //! because only the holder of the writer mutex swaps.
 
-use crate::answer::{ApproximateAnswer, SelectAnswer};
+use crate::answer::QueryOutcome;
 use crate::config::SciborqConfig;
 use crate::engine::{BaseData, BoundedQueryEngine, QueryBounds};
 use crate::error::{Result, SciborqError};
@@ -34,38 +34,11 @@ use sciborq_telemetry::{
     AdmissionTrace, Counter, FaultEventKind, Histogram, MetricsRegistry, MetricsSnapshot,
     QueryTrace, TraceRing,
 };
-use sciborq_workload::{AttributeDomain, PredicateSet, Query, QueryKind, QueryLog};
+use sciborq_workload::{AttributeDomain, PredicateSet, Query, QueryLog};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// The result of executing a query through a session.
-#[derive(Debug, Clone)]
-pub enum QueryOutcome {
-    /// An aggregate answer with error bounds.
-    Aggregate(ApproximateAnswer),
-    /// A row-returning answer.
-    Rows(SelectAnswer),
-}
-
-impl QueryOutcome {
-    /// The aggregate answer, if this outcome is one.
-    pub fn as_aggregate(&self) -> Option<&ApproximateAnswer> {
-        match self {
-            QueryOutcome::Aggregate(a) => Some(a),
-            QueryOutcome::Rows(_) => None,
-        }
-    }
-
-    /// The row answer, if this outcome is one.
-    pub fn as_rows(&self) -> Option<&SelectAnswer> {
-        match self {
-            QueryOutcome::Rows(r) => Some(r),
-            QueryOutcome::Aggregate(_) => None,
-        }
-    }
-}
 
 /// The scan costs a query against one table can incur, per escalation
 /// level: what a serving layer's admission control reasons about before it
@@ -370,45 +343,32 @@ impl ExplorationSession {
     /// [`ExplorationSession::execute`], with the serving layer's admission
     /// verdict attached: when tracing is on, `admission` is stamped onto the
     /// answer's trace (queue wait, downgrade, priced cost) before the trace
-    /// is retained in the session's ring.
+    /// is retained in the session's ring. The query runs as a batch of one
+    /// through [`ExplorationSession::execute_batch_with_admission`].
     pub fn execute_with_admission(
         &self,
         query: &Query,
         bounds: &QueryBounds,
         admission: Option<AdmissionTrace>,
     ) -> Result<QueryOutcome> {
-        self.query_log.lock().record(query.clone());
-        self.predicate_set.lock().log_query(query);
-
-        let hierarchy = self.hierarchy_for(&query.table)?;
-        let base_handle = self.catalog.table(&query.table).ok();
-
         // The outermost isolation seam: a panic that slipped past the shard
         // and level rungs (or corrupted engine state between them) abandons
         // *this* query with a typed reply and leaves the session — and every
-        // concurrent query — untouched. The engine holds no locks across an
-        // evaluation, so unwinding here cannot strand shared state.
-        let attempt = catch_unwind(AssertUnwindSafe(|| match query.kind {
-            QueryKind::Select => {
-                let base_guard = base_handle.as_ref().map(|h| h.read());
-                self.engine
-                    .execute_select(query, &hierarchy, base_guard.as_deref(), bounds)
-                    .map(QueryOutcome::Rows)
-            }
-            QueryKind::Aggregate { .. } => self
-                .engine
-                .execute_aggregate_batch(&[(query, bounds)], &hierarchy, base_data(&base_handle))
+        // concurrent query — untouched. The engine releases the base table's
+        // read lock as it unwinds, so unwinding here cannot strand shared
+        // state.
+        let attempt = catch_unwind(AssertUnwindSafe(|| {
+            self.execute_batch_with_admission(&[(query, bounds)], std::slice::from_ref(&admission))
                 .pop()
                 .expect("a batch answers every request")
-                .map(QueryOutcome::Aggregate),
         }));
-        let mut result = attempt.unwrap_or_else(|_| {
-            Err(SciborqError::Internal {
+        attempt.unwrap_or_else(|_| {
+            let mut result = Err(SciborqError::Internal {
                 site: "session.query".to_owned(),
-            })
-        });
-        self.observe_outcome(&mut result, admission);
-        result
+            });
+            self.observe_outcome(&mut result, admission);
+            result
+        })
     }
 
     /// Execute with the session's default bounds (the configured default
@@ -422,16 +382,15 @@ impl ExplorationSession {
         self.execute(query, &bounds)
     }
 
-    /// Execute a batch of queries, sharing scan passes between aggregate
-    /// queries over the same table (see
-    /// [`BoundedQueryEngine::execute_aggregate_batch`]). Every query is
-    /// logged, results come back in request order, and each answer is
-    /// bit-identical to what [`ExplorationSession::execute`] would have
-    /// produced for that query alone. SELECT queries ride along but are
-    /// evaluated individually (their materialised selections cannot share a
-    /// sink).
+    /// Execute a batch of queries, sharing scan passes between queries over
+    /// the same table — aggregates and SELECTs alike (see
+    /// [`BoundedQueryEngine::execute_batch`]). Every query is logged,
+    /// results come back in request order, and each answer is bit-identical
+    /// to what [`ExplorationSession::execute`] would have produced for that
+    /// query alone.
     pub fn execute_batch(&self, requests: &[(Query, QueryBounds)]) -> Vec<Result<QueryOutcome>> {
-        self.execute_batch_with_admission(requests, &[])
+        let requests: Vec<(&Query, &QueryBounds)> = requests.iter().map(|(q, b)| (q, b)).collect();
+        self.execute_batch_with_admission(&requests, &[])
     }
 
     /// [`ExplorationSession::execute_batch`], with per-request admission
@@ -440,13 +399,13 @@ impl ExplorationSession {
     /// leaves the tail untouched, so direct callers pass `&[]`.
     pub fn execute_batch_with_admission(
         &self,
-        requests: &[(Query, QueryBounds)],
+        requests: &[(&Query, &QueryBounds)],
         admissions: &[Option<AdmissionTrace>],
     ) -> Vec<Result<QueryOutcome>> {
         {
             let mut query_log = self.query_log.lock();
             let mut predicate_set = self.predicate_set.lock();
-            for (query, _) in requests {
+            for &(query, _) in requests {
                 query_log.record(query.clone());
                 predicate_set.log_query(query);
             }
@@ -455,7 +414,7 @@ impl ExplorationSession {
         let mut results: Vec<Option<Result<QueryOutcome>>> =
             requests.iter().map(|_| None).collect();
         let mut by_table: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, (query, _)) in requests.iter().enumerate() {
+        for (i, &(query, _)) in requests.iter().enumerate() {
             by_table.entry(query.table.as_str()).or_default().push(i);
         }
 
@@ -470,34 +429,12 @@ impl ExplorationSession {
                 }
             };
             let base_handle = self.catalog.table(table).ok();
-
-            let mut aggregates: Vec<usize> = Vec::new();
-            for i in indices {
-                let (query, bounds) = &requests[i];
-                match query.kind {
-                    QueryKind::Select => {
-                        let base_guard = base_handle.as_ref().map(|h| h.read());
-                        results[i] = Some(
-                            self.engine
-                                .execute_select(query, &hierarchy, base_guard.as_deref(), bounds)
-                                .map(QueryOutcome::Rows),
-                        );
-                    }
-                    QueryKind::Aggregate { .. } => aggregates.push(i),
-                }
-            }
-            if aggregates.is_empty() {
-                continue;
-            }
-            let batch: Vec<(&Query, &QueryBounds)> = aggregates
-                .iter()
-                .map(|&i| (&requests[i].0, &requests[i].1))
-                .collect();
-            let answers =
-                self.engine
-                    .execute_aggregate_batch(&batch, &hierarchy, base_data(&base_handle));
-            for (i, answer) in aggregates.into_iter().zip(answers) {
-                results[i] = Some(answer.map(QueryOutcome::Aggregate));
+            let batch: Vec<(&Query, &QueryBounds)> = indices.iter().map(|&i| requests[i]).collect();
+            let answers = self
+                .engine
+                .execute_batch(&batch, &hierarchy, base_data(&base_handle));
+            for (i, answer) in indices.into_iter().zip(answers) {
+                results[i] = Some(answer);
             }
         }
 
@@ -673,8 +610,8 @@ impl ExplorationSession {
     }
 }
 
-/// A catalog table as the aggregate path's base data: read-locked only if
-/// an escalation reaches it.
+/// A catalog table as the engine's base data: read-locked only if an
+/// escalation reaches it.
 fn base_data(handle: &Option<Arc<RwLock<Table>>>) -> BaseData<'_> {
     handle.as_deref().map_or(BaseData::None, BaseData::Locked)
 }
@@ -893,7 +830,7 @@ mod tests {
                 Query::count("photoobj", Predicate::True),
                 QueryBounds::row_budget(10),
             ),
-            // a SELECT rides along, executed individually
+            // a SELECT rides along in the same shared passes
             (
                 Query::select("photoobj", Predicate::lt("ra", 180.0)).with_limit(5),
                 QueryBounds::default(),
@@ -1000,10 +937,8 @@ mod tests {
         assert!(recent.iter().all(|t| t.admission.is_none()));
 
         // batch execution stamps per-request admissions the same way
-        let requests = vec![
-            (q.clone(), QueryBounds::max_error(0.1)),
-            (q.clone(), QueryBounds::max_error(0.1)),
-        ];
+        let bounds = QueryBounds::max_error(0.1);
+        let requests = [(&q, &bounds), (&q, &bounds)];
         let outcomes = s.execute_batch_with_admission(&requests, &[Some(admission.clone()), None]);
         let first = outcomes[0].as_ref().unwrap().as_aggregate().unwrap();
         assert_eq!(first.trace.as_ref().unwrap().admission, Some(admission));

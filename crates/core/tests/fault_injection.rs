@@ -14,7 +14,9 @@ use sciborq_columnar::{
 use sciborq_core::answer::EvaluationLevel;
 use sciborq_core::engine::{BoundedQueryEngine, QueryBounds};
 use sciborq_core::layer::LayerHierarchy;
-use sciborq_core::{ApproximateAnswer, SamplingPolicy, SciborqConfig, SciborqError};
+use sciborq_core::{
+    ApproximateAnswer, QueryOutcome, SamplingPolicy, SciborqConfig, SciborqError, SelectAnswer,
+};
 use sciborq_telemetry::faults::{self, FaultPlan, Trigger};
 use sciborq_telemetry::FaultEventKind;
 use sciborq_workload::Query;
@@ -103,6 +105,41 @@ fn sharded_engine() -> BoundedQueryEngine {
     BoundedQueryEngine::new(SciborqConfig::default().with_parallelism(2)).unwrap()
 }
 
+/// A batch of aggregates through the engine's one escalation loop.
+fn aggregate_batch(
+    engine: &BoundedQueryEngine,
+    batch: &[(&Query, &QueryBounds)],
+    h: &LayerHierarchy,
+    table: &Table,
+) -> Vec<Result<ApproximateAnswer, SciborqError>> {
+    engine
+        .execute_batch(batch, h, Some(table))
+        .into_iter()
+        .map(|outcome| match outcome? {
+            QueryOutcome::Aggregate(answer) => Ok(answer),
+            QueryOutcome::Rows(_) => panic!("an aggregate answers with a value"),
+        })
+        .collect()
+}
+
+/// A SELECT as a batch of one.
+fn select(
+    engine: &BoundedQueryEngine,
+    query: &Query,
+    h: &LayerHierarchy,
+    table: &Table,
+) -> Result<SelectAnswer, SciborqError> {
+    let bounds = QueryBounds::default();
+    match engine
+        .execute_batch(&[(query, &bounds)], h, Some(table))
+        .pop()
+        .unwrap()?
+    {
+        QueryOutcome::Rows(answer) => Ok(answer),
+        QueryOutcome::Aggregate(_) => panic!("a SELECT answers with rows"),
+    }
+}
+
 /// Assert that `answer` recorded exactly one fault event, at `site`.
 fn assert_one_event(answer: &ApproximateAnswer, site: &str, kind: FaultEventKind) {
     assert_eq!(
@@ -174,15 +211,14 @@ fn shared_pass_shard_panic_recovers_every_member_bit_identically() {
     );
     let bounds = QueryBounds::max_error(1e-9);
     let batch = [(&count, &bounds), (&avg, &bounds)];
-    let expected: Vec<ApproximateAnswer> = sharded_engine()
-        .execute_aggregate_batch(&batch, &h, Some(&table))
+    let expected: Vec<ApproximateAnswer> = aggregate_batch(&sharded_engine(), &batch, &h, &table)
         .into_iter()
         .map(Result::unwrap)
         .collect();
 
     let recovered = with_plan(
         FaultPlan::new(16).panic_at("scan.shard", Trigger::Nth(1)),
-        || sharded_engine().execute_aggregate_batch(&batch, &h, Some(&table)),
+        || aggregate_batch(&sharded_engine(), &batch, &h, &table),
     );
 
     assert_eq!(recovered.len(), expected.len());
@@ -261,7 +297,7 @@ fn shared_pass_level_fault_degrades_every_member_to_the_next_level() {
 
     // Oracle first: fault-free, both loose bounds are met on the smallest
     // (200-row) layer.
-    for answer in engine().execute_aggregate_batch(&batch, &h, Some(&table)) {
+    for answer in aggregate_batch(&engine(), &batch, &h, &table) {
         let answer = answer.unwrap();
         assert_eq!(answer.level, EvaluationLevel::Layer(2));
         assert!(!answer.degraded);
@@ -269,7 +305,7 @@ fn shared_pass_level_fault_degrades_every_member_to_the_next_level() {
 
     let degraded = with_plan(
         FaultPlan::new(15).panic_at("engine.level", Trigger::Nth(1)),
-        || engine().execute_aggregate_batch(&batch, &h, Some(&table)),
+        || aggregate_batch(&engine(), &batch, &h, &table),
     );
     assert_eq!(degraded.len(), 2);
     for answer in degraded {
@@ -311,14 +347,12 @@ fn select_level_fault_degrades() {
     let h = hierarchy(&table, vec![2_000, 200]);
     let query = Query::select("photoobj", Predicate::lt("ra", 36.0)).with_limit(10);
 
-    let clean = engine()
-        .execute_select(&query, &h, Some(&table), &QueryBounds::default())
-        .unwrap();
+    let clean = select(&engine(), &query, &h, &table).unwrap();
     assert!(!clean.degraded);
 
     let degraded = with_plan(
         FaultPlan::new(13).panic_at("engine.level", Trigger::Nth(1)),
-        || engine().execute_select(&query, &h, Some(&table), &QueryBounds::default()),
+        || select(&engine(), &query, &h, &table),
     )
     .unwrap();
     assert!(degraded.degraded);

@@ -17,9 +17,9 @@ pub struct ServeConfig {
     /// budget may be downgraded to its cheapest admissible level (with the
     /// reply flagged `downgraded`) instead of being rejected outright.
     pub allow_downgrade: bool,
-    /// Whether same-table aggregate queries are coalesced into shared scan
-    /// passes. Off means every query runs its own scans (useful as a
-    /// baseline; answers are identical either way).
+    /// Whether same-table queries (aggregates and SELECTs) are coalesced
+    /// into shared scan passes. Off means every query runs its own scans
+    /// (useful as a baseline; answers are identical either way).
     pub shared_scans: bool,
     /// How long the batcher waits after the first enqueued query for
     /// stragglers to coalesce into the same shared pass.

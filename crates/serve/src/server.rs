@@ -7,7 +7,7 @@ use sciborq_core::{
     QueryBounds, QueryOutcome, QueryTrace, SciborqError, SelectAnswer,
 };
 use sciborq_telemetry::{Counter, Gauge, Histogram};
-use sciborq_workload::{Query, QueryKind};
+use sciborq_workload::Query;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
@@ -120,7 +120,7 @@ struct ServeMetrics {
     shared_batches: Arc<Counter>,
     /// `serve.batch_size` — queries coalesced per shared pass.
     batch_size: Arc<Histogram>,
-    /// `serve.batch_queue_depth` — aggregate queries awaiting the scheduler.
+    /// `serve.batch_queue_depth` — queries awaiting the scheduler.
     batch_queue_depth: Arc<Gauge>,
     /// `serve.reply_micros` — submit-to-reply wall time (queue wait
     /// included).
@@ -166,8 +166,9 @@ struct ServerInner {
 /// exploration session.
 ///
 /// `submit` is blocking and thread-safe: call it from as many client
-/// threads as you like. Aggregate queries are (when enabled) coalesced by
-/// a background scheduler thread into shared scan passes via
+/// threads as you like. Queries — aggregates and SELECTs — are (when
+/// enabled) coalesced by a background scheduler thread into shared scan
+/// passes via
 /// [`ExplorationSession::execute_batch`]; answers are bit-identical to
 /// serial execution either way.
 pub struct QueryServer {
@@ -336,10 +337,7 @@ impl QueryServer {
 
     fn dispatch(&self, query: Query, admission: &Admission) -> ServerReply {
         let inner = &self.inner;
-        let shared = inner.config.shared_scans
-            && matches!(query.kind, QueryKind::Aggregate { .. })
-            && self.scheduler.is_some();
-        if !shared {
+        if !inner.config.shared_scans || self.scheduler.is_none() {
             return Self::direct_reply(
                 inner.session.execute_with_admission(
                     &query,
@@ -426,10 +424,8 @@ impl ServerInner {
             }
             self.metrics.shared_batches.inc();
             self.metrics.batch_size.observe(drained.len() as u64);
-            let requests: Vec<(Query, QueryBounds)> = drained
-                .iter()
-                .map(|p| (p.query.clone(), p.bounds))
-                .collect();
+            let requests: Vec<(&Query, &QueryBounds)> =
+                drained.iter().map(|p| (&p.query, &p.bounds)).collect();
             let admissions: Vec<Option<AdmissionTrace>> =
                 drained.iter().map(|p| Some(p.admission.clone())).collect();
             // Isolate the shared pass: a panic (or an injected

@@ -141,19 +141,19 @@ impl PredicateSet {
     /// the per-attribute interest weights `f̆(x)·N`, matching the paper's
     /// footnote 4 combine function `c(t) = f̆(t.att1) ∘ … ∘ f̆(t.attm)`.
     ///
-    /// Attributes with no logged values contribute a neutral factor of 1.
-    pub fn combined_weight(&self, tuple: &[(&str, f64)]) -> f64 {
-        let mut weight = 1.0;
-        for (attribute, value) in tuple {
-            if let Some(hist) = self.attributes.get(*attribute) {
-                if hist.total() > 0 {
-                    if let Ok(kde) = BinnedKde::from_histogram(hist) {
-                        weight *= kde.interest_weight(*value);
-                    }
-                }
-            }
-        }
-        weight
+    /// Each value comes with its attribute's estimator, built once (see
+    /// [`PredicateSet::interest_estimator`]) and reused across tuples; an
+    /// attribute without one — untracked, or with no logged values —
+    /// contributes a neutral factor of 1.
+    pub fn combined_weight<'a>(
+        tuple: impl IntoIterator<Item = (Option<&'a BinnedKde>, f64)>,
+    ) -> f64 {
+        tuple
+            .into_iter()
+            .fold(1.0, |weight, (estimator, value)| match estimator {
+                Some(kde) => weight * kde.interest_weight(value),
+                None => weight,
+            })
     }
 
     /// Reset the logged statistics (e.g. when the exploration focus is
@@ -260,15 +260,20 @@ mod tests {
             ps.log_value("ra", 185.0);
             ps.log_value("dec", 0.0);
         }
-        let focal = ps.combined_weight(&[("ra", 185.0), ("dec", 0.0)]);
-        let off = ps.combined_weight(&[("ra", 30.0), ("dec", -60.0)]);
+        let estimator = |attribute| ps.interest_estimator(attribute).ok();
+        let (ra, dec) = (estimator("ra"), estimator("dec"));
+        let focal = PredicateSet::combined_weight([(ra.as_ref(), 185.0), (dec.as_ref(), 0.0)]);
+        let off = PredicateSet::combined_weight([(ra.as_ref(), 30.0), (dec.as_ref(), -60.0)]);
         assert!(focal > off);
         // untracked attributes contribute a neutral factor
-        let with_unknown = ps.combined_weight(&[("ra", 185.0), ("r_mag", 17.0)]);
-        let ra_only = ps.combined_weight(&[("ra", 185.0)]);
-        assert!((with_unknown - ra_only).abs() < 1e-9);
+        let unknown = estimator("r_mag");
+        assert!(unknown.is_none());
+        let with_unknown =
+            PredicateSet::combined_weight([(ra.as_ref(), 185.0), (unknown.as_ref(), 17.0)]);
+        let ra_only = PredicateSet::combined_weight([(ra.as_ref(), 185.0)]);
+        assert_eq!(with_unknown.to_bits(), ra_only.to_bits());
         // an empty tuple weighs 1
-        assert_eq!(ps.combined_weight(&[]), 1.0);
+        assert_eq!(PredicateSet::combined_weight([]), 1.0);
     }
 
     #[test]

@@ -20,6 +20,8 @@ cargo build --release -p sciborq-serve --bin sciborq-served
     printf '{"id":%d,"query":{"table":"photoobj","kind":"count","predicate":{"op":"lt","column":"ra","value":%d.0}},"bounds":{"max_relative_error":0.05}}\n' "$i" "$((i * 45))"
   done
   printf '{"id":5,"query":{"table":"photoobj","kind":"sum","column":"r_mag","predicate":{"op":"between","column":"ra","low":10.0,"high":200.0}},"bounds":{"max_relative_error":0.05}}\n'
+  # a SELECT with a LIMIT rides the same shared scan passes
+  printf '{"id":8,"query":{"table":"photoobj","kind":"select","limit":25,"predicate":{"op":"lt","column":"ra","value":90.0}}}\n'
   # protocol-fuzz seeds: hostile lines the server must answer with a
   # typed error reply — never a crash, a hang, or a blown stack
   head -c 1100000 /dev/zero | tr '\0' 'x'   # > 1 MiB line -> malformed (too large)
@@ -44,9 +46,16 @@ cat "$SNAPSHOT"
 
 fail() { echo "serve_smoke: $1" >&2; exit 1; }
 
-# every request (5 queries + metrics + trace) answered ok
+# every request (6 queries + metrics + trace) answered ok
 ok_count="$(grep -c '"status":"ok"' "$REPLIES")"
-[ "$ok_count" -eq 7 ] || fail "expected 7 ok replies, got $ok_count"
+[ "$ok_count" -eq 8 ] || fail "expected 8 ok replies, got $ok_count"
+
+# the SELECT answered with its rows and an estimate of every match
+select_reply="$(grep '"id":8,' "$REPLIES")" || fail "no reply to the SELECT"
+grep -q '"status":"ok"' <<<"$select_reply" || fail "the SELECT failed: $select_reply"
+grep -q '"rows_returned":' <<<"$select_reply" || fail "the SELECT reply lacks rows_returned"
+grep -q '"estimated_total_matches":' <<<"$select_reply" \
+  || fail "the SELECT reply lacks estimated_total_matches"
 
 # every fuzz seed drew a typed error reply: 4 malformed (oversized,
 # nesting bomb, truncated, garbage) + 1 invalid-request — and none of
@@ -73,9 +82,9 @@ grep -q '"levels":\[{' "$REPLIES" || fail "traces lack per-level detail"
 
 # the exported snapshot (written after all workers joined) saw all traffic
 [ -s "$SNAPSHOT" ] || fail "metrics snapshot missing or empty"
-grep -q '"engine.queries":5' "$SNAPSHOT" || fail "snapshot engine.queries != 5"
-grep -q '"serve.queries_served":5' "$SNAPSHOT" || fail "snapshot serve.queries_served != 5"
+grep -q '"engine.queries":6' "$SNAPSHOT" || fail "snapshot engine.queries != 6"
+grep -q '"serve.queries_served":6' "$SNAPSHOT" || fail "snapshot serve.queries_served != 6"
 grep -Eq '"engine.rows_scanned":[1-9]' "$SNAPSHOT" || fail "snapshot rows_scanned is zero"
-grep -Eq '"engine.query_micros":\{"count":5' "$SNAPSHOT" || fail "latency histogram count != 5"
+grep -Eq '"engine.query_micros":\{"count":6' "$SNAPSHOT" || fail "latency histogram count != 6"
 
-echo "serve_smoke: ok (7 ok replies, 5 typed fuzz rejections, registry saw 5 queries)"
+echo "serve_smoke: ok (8 ok replies, 5 typed fuzz rejections, registry saw 6 queries)"
