@@ -84,10 +84,7 @@ pub const LINT_NAMES: &[&str] = &[
     "lock_order",
     "bounds_honesty",
     "kernel_parity",
-    "panic_path",
-    "panic_path_index",
     "fault_discipline",
-    "config_surface",
     "suppression",
     "unused_suppression",
 ];

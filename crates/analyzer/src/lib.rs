@@ -3,16 +3,22 @@
 //!
 //! The binary walks `crates/*/src` (plus `crates/*/tests` for the
 //! kernel-parity cross-reference), builds a token-level model of each
-//! file, and runs six lint passes:
+//! file, and runs four lint passes:
 //!
 //! | lint | invariant |
 //! |------|-----------|
 //! | `lock_order` | lock acquisition order is acyclic; no waiting on a condvar while holding a second lock |
 //! | `bounds_honesty` | `*_bound_met` flags are measured, never literal `true`/`false` |
 //! | `kernel_parity` | every public scan kernel is referenced by an equivalence test or the bench oracle |
-//! | `panic_path` / `panic_path_index` | no `unwrap`/`expect`/panics / raw indexing in hot-path and serving modules |
 //! | `fault_discipline` | `fault_point!` sites are cfg-gated; every `catch_unwind` leaves a telemetry trace |
-//! | `config_surface` | every `SciborqConfig` field has a builder, validation, and a README mention |
+//!
+//! Two invariants the toolchain can check are left to it: the hot-path and
+//! serving modules deny clippy's `unwrap_used`, `expect_used`, `panic`,
+//! `unreachable`, `todo`, `unimplemented` and (outside the kernels)
+//! `indexing_slicing` lints (the root `clippy.toml` exempts tests), and
+//! `chainable_builders_cover_every_knob` in `crates/core/src/config.rs` fails
+//! to compile or fails until every `SciborqConfig` field has a builder and a
+//! README row.
 //!
 //! Findings can be suppressed inline with a comment of the form
 //! `analyzer:allow(<lint>, reason = "...")` directly after `//` — the
@@ -36,7 +42,6 @@ use std::path::Path;
 #[derive(Debug, Default)]
 pub struct AnalyzerInput {
     pub files: Vec<(String, String)>,
-    pub readme: Option<String>,
 }
 
 /// Run every lint pass over `input` and return the surviving diagnostics,
@@ -57,9 +62,7 @@ pub fn analyze(input: &AnalyzerInput) -> Vec<Diagnostic> {
     raw.extend(lints::lock_order::run(&models));
     raw.extend(lints::bounds::run(&models));
     raw.extend(lints::kernel_parity::run(&models));
-    raw.extend(lints::panic_path::run(&models));
     raw.extend(lints::fault_discipline::run(&models));
-    raw.extend(lints::config_surface::run(&models, input.readme.as_deref()));
 
     for d in raw {
         let suppressed = models
@@ -92,7 +95,7 @@ pub fn analyze(input: &AnalyzerInput) -> Vec<Diagnostic> {
 }
 
 /// Load the workspace rooted at `root`: every `.rs` file under
-/// `crates/*/src` and `crates/*/tests`, plus `README.md`. The analyzer
+/// `crates/*/src` and `crates/*/tests`. The analyzer
 /// crate itself is excluded — its fixture tests embed deliberately-broken
 /// snippets (and suppression examples) that must not be mistaken for
 /// workspace code.
@@ -117,8 +120,7 @@ pub fn load_workspace(root: &Path) -> io::Result<AnalyzerInput> {
         }
     }
     files.sort_by(|a, b| a.0.cmp(&b.0));
-    let readme = std::fs::read_to_string(root.join("README.md")).ok();
-    Ok(AnalyzerInput { files, readme })
+    Ok(AnalyzerInput { files })
 }
 
 fn collect_rs(root: &Path, dir: &Path, out: &mut Vec<(String, String)>) -> io::Result<()> {

@@ -3,8 +3,6 @@
 //! [`crate::analyze`].
 
 pub mod bounds;
-pub mod config_surface;
 pub mod fault_discipline;
 pub mod kernel_parity;
 pub mod lock_order;
-pub mod panic_path;

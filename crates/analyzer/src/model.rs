@@ -433,12 +433,12 @@ mod tests {
     #[test]
     fn allow_requires_reason() {
         let marker = concat!("analyzer:", "allow");
-        let good = format!("// {marker}(panic_path, reason = \"checked above\")\nx();\n");
+        let good = format!("// {marker}(lock_order, reason = \"checked above\")\nx();\n");
         let (m, d) = FileModel::build("crates/x/src/a.rs", &good);
         assert!(d.is_empty());
         assert_eq!(m.allows.len(), 1);
 
-        let bad = format!("// {marker}(panic_path)\nx();\n");
+        let bad = format!("// {marker}(lock_order)\nx();\n");
         let (_, d) = FileModel::build("crates/x/src/a.rs", &bad);
         assert_eq!(d.len(), 1, "missing reason must be a diagnostic");
 
@@ -450,7 +450,7 @@ mod tests {
     #[test]
     fn doc_comment_prose_does_not_match() {
         let marker = concat!("analyzer:", "allow");
-        let src = format!("/// Use `// {marker}(panic_path, ...)` to suppress.\nfn f() {{}}\n");
+        let src = format!("/// Use `// {marker}(lock_order, ...)` to suppress.\nfn f() {{}}\n");
         let (m, d) = FileModel::build("crates/x/src/a.rs", &src);
         assert!(d.is_empty());
         assert!(m.allows.is_empty());
@@ -459,10 +459,10 @@ mod tests {
     #[test]
     fn suppress_covers_own_and_next_line() {
         let marker = concat!("analyzer:", "allow");
-        let src = format!("// {marker}(panic_path, reason = \"fine\")\nx.unwrap();\n");
+        let src = format!("// {marker}(bounds_honesty, reason = \"fine\")\nx();\n");
         let (mut m, _) = FileModel::build("crates/x/src/a.rs", &src);
-        assert!(m.suppress("panic_path", 2));
-        assert!(!m.suppress("panic_path", 4));
+        assert!(m.suppress("bounds_honesty", 2));
+        assert!(!m.suppress("bounds_honesty", 4));
         assert!(!m.suppress("lock_order", 2));
         assert!(m.allows[0].used);
     }

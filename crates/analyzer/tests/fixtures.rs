@@ -11,13 +11,12 @@
 use sciborq_analyzer::diag::{Diagnostic, Severity};
 use sciborq_analyzer::{analyze, exit_code, AnalyzerInput};
 
-fn run(files: &[(&str, &str)], readme: Option<&str>) -> Vec<Diagnostic> {
+fn run(files: &[(&str, &str)]) -> Vec<Diagnostic> {
     let input = AnalyzerInput {
         files: files
             .iter()
             .map(|(p, s)| (p.to_string(), s.to_string()))
             .collect(),
-        readme: readme.map(str::to_owned),
     };
     analyze(&input)
 }
@@ -37,7 +36,7 @@ fn answer() -> Answer {
     Answer { error_bound_met: true, time_bound_met = false }
 }
 "#;
-    let diags = run(&[("crates/core/src/engine.rs", src)], None);
+    let diags = run(&[("crates/core/src/engine.rs", src)]);
     assert_eq!(lint_count(&diags, "bounds_honesty"), 2, "{diags:?}");
     assert_eq!(exit_code(&diags, false), 2);
 }
@@ -53,7 +52,7 @@ fn literals_in_tests_are_fine() {
     let expected = Answer { error_bound_met: true };
 }
 "#;
-    let diags = run(&[("crates/core/src/engine.rs", src)], None);
+    let diags = run(&[("crates/core/src/engine.rs", src)]);
     assert_eq!(lint_count(&diags, "bounds_honesty"), 0, "{diags:?}");
 }
 
@@ -65,75 +64,9 @@ fn answer() -> Answer {
     Answer { error_bound_met: true }
 }
 "#;
-    let diags = run(&[("crates/core/src/engine.rs", src)], None);
+    let diags = run(&[("crates/core/src/engine.rs", src)]);
     assert!(diags.is_empty(), "{diags:?}");
     assert_eq!(exit_code(&diags, false), 0);
-}
-
-// ---------------------------------------------------------------------------
-// panic_path / panic_path_index
-// ---------------------------------------------------------------------------
-
-#[test]
-fn panic_path_fires_in_scoped_file() {
-    let src = r#"
-pub fn hot(x: Option<u32>, v: &[u32]) -> u32 {
-    let a = x.unwrap();
-    let b = x.expect("present");
-    if a == 0 { panic!("zero"); }
-    a + b + v[0]
-}
-"#;
-    let diags = run(&[("crates/columnar/src/kernels.rs", src)], None);
-    assert_eq!(lint_count(&diags, "panic_path"), 3, "{diags:?}");
-    assert_eq!(lint_count(&diags, "panic_path_index"), 1, "{diags:?}");
-}
-
-#[test]
-fn panic_path_ignores_unscoped_files_and_tests() {
-    let unscoped = run(
-        &[(
-            "crates/core/src/session.rs",
-            "fn f(x: Option<u32>) -> u32 { x.unwrap() }",
-        )],
-        None,
-    );
-    assert_eq!(lint_count(&unscoped, "panic_path"), 0, "{unscoped:?}");
-
-    let in_test = r#"
-pub fn hot(v: &[u32]) -> u32 { v.iter().sum() }
-#[test]
-fn asserting_with_unwrap_is_fine() {
-    let x: Option<u32> = Some(1);
-    assert_eq!(x.unwrap(), 1);
-}
-"#;
-    let diags = run(&[("crates/columnar/src/kernels.rs", in_test)], None);
-    assert_eq!(lint_count(&diags, "panic_path"), 0, "{diags:?}");
-}
-
-#[test]
-fn panic_path_suppressed_with_reason() {
-    let src = r#"
-pub fn hot(x: Option<u32>, v: &[u32]) -> u32 {
-    // analyzer:allow(panic_path, reason = "checked non-empty on entry")
-    let a = x.unwrap();
-    // analyzer:allow(panic_path_index, reason = "index bounded by caller")
-    a + v[0]
-}
-"#;
-    let diags = run(&[("crates/columnar/src/kernels.rs", src)], None);
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn panic_path_file_level_suppression_covers_whole_file() {
-    let src = r#"
-// analyzer:allow-file(panic_path_index, reason = "kernel tier, bounds pre-established")
-pub fn hot(v: &[u32]) -> u32 { v[0] + v[1] }
-"#;
-    let diags = run(&[("crates/columnar/src/kernels.rs", src)], None);
-    assert!(diags.is_empty(), "{diags:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -143,7 +76,7 @@ pub fn hot(v: &[u32]) -> u32 { v[0] + v[1] }
 #[test]
 fn kernel_parity_fires_on_untested_kernel() {
     let src = "pub fn mask_novel(values: &[i64]) -> usize { values.len() }";
-    let diags = run(&[("crates/columnar/src/kernels.rs", src)], None);
+    let diags = run(&[("crates/columnar/src/kernels.rs", src)]);
     assert_eq!(lint_count(&diags, "kernel_parity"), 1, "{diags:?}");
 }
 
@@ -152,23 +85,17 @@ fn kernel_parity_passes_when_test_references_kernel() {
     let kernel = "pub fn mask_novel(values: &[i64]) -> usize { values.len() }
 pub fn scan_weighted_sum(values: &[f64]) -> f64 { 0.0 }";
     let test = "fn drives_both() { mask_novel(&[]); scan_weighted_sum(&[]); }";
-    let diags = run(
-        &[
-            ("crates/columnar/src/kernels.rs", kernel),
-            ("crates/columnar/tests/equivalence.rs", test),
-        ],
-        None,
-    );
+    let diags = run(&[
+        ("crates/columnar/src/kernels.rs", kernel),
+        ("crates/columnar/tests/equivalence.rs", test),
+    ]);
     assert_eq!(lint_count(&diags, "kernel_parity"), 0, "{diags:?}");
 
     // The bench oracle counts as a reference too.
-    let diags = run(
-        &[
-            ("crates/columnar/src/kernels.rs", kernel),
-            ("crates/bench/src/oracle.rs", test),
-        ],
-        None,
-    );
+    let diags = run(&[
+        ("crates/columnar/src/kernels.rs", kernel),
+        ("crates/bench/src/oracle.rs", test),
+    ]);
     assert_eq!(lint_count(&diags, "kernel_parity"), 0, "{diags:?}");
 }
 
@@ -176,7 +103,7 @@ pub fn scan_weighted_sum(values: &[f64]) -> f64 { 0.0 }";
 fn kernel_parity_ignores_private_and_non_kernel_fns() {
     let src = "fn mask_private(values: &[i64]) -> usize { values.len() }
 pub fn plain_helper(values: &[i64]) -> usize { values.len() }";
-    let diags = run(&[("crates/columnar/src/kernels.rs", src)], None);
+    let diags = run(&[("crates/columnar/src/kernels.rs", src)]);
     assert_eq!(lint_count(&diags, "kernel_parity"), 0, "{diags:?}");
 }
 
@@ -186,7 +113,7 @@ fn kernel_parity_suppressed_with_reason() {
 // analyzer:allow(kernel_parity, reason = "exercised indirectly through multi_scan")
 pub fn mask_novel(values: &[i64]) -> usize { values.len() }
 "#;
-    let diags = run(&[("crates/columnar/src/kernels.rs", src)], None);
+    let diags = run(&[("crates/columnar/src/kernels.rs", src)]);
     assert!(diags.is_empty(), "{diags:?}");
 }
 
@@ -201,7 +128,7 @@ fn evaluate(&self) {
     sciborq_telemetry::fault_point!("engine.level");
 }
 "#;
-    let diags = run(&[("crates/core/src/engine.rs", src)], None);
+    let diags = run(&[("crates/core/src/engine.rs", src)]);
     assert_eq!(lint_count(&diags, "fault_discipline"), 1, "{diags:?}");
     assert_eq!(exit_code(&diags, false), 2);
 }
@@ -220,13 +147,10 @@ pub fn fire(site: &str) {
     fault_point!("anything");
 }
 "#;
-    let diags = run(
-        &[
-            ("crates/core/src/engine.rs", gated),
-            ("crates/telemetry/src/faults.rs", home),
-        ],
-        None,
-    );
+    let diags = run(&[
+        ("crates/core/src/engine.rs", gated),
+        ("crates/telemetry/src/faults.rs", home),
+    ]);
     assert_eq!(lint_count(&diags, "fault_discipline"), 0, "{diags:?}");
 }
 
@@ -238,7 +162,7 @@ fn isolate(&self) -> Result<()> {
     attempt.unwrap_or_else(|_| Err(Error::Internal))
 }
 "#;
-    let diags = run(&[("crates/core/src/execution.rs", src)], None);
+    let diags = run(&[("crates/core/src/execution.rs", src)]);
     assert_eq!(lint_count(&diags, "fault_discipline"), 1, "{diags:?}");
 }
 
@@ -263,7 +187,7 @@ fn tests_may_catch_freely() {
     let _ = catch_unwind(|| panic!("boom"));
 }
 "#;
-    let diags = run(&[("crates/core/src/execution.rs", src)], None);
+    let diags = run(&[("crates/core/src/execution.rs", src)]);
     assert_eq!(lint_count(&diags, "fault_discipline"), 0, "{diags:?}");
 }
 
@@ -276,62 +200,8 @@ fn isolate(&self) -> Result<()> {
     attempt.unwrap_or_else(|_| Err(Error::Internal))
 }
 "#;
-    let diags = run(&[("crates/core/src/execution.rs", src)], None);
+    let diags = run(&[("crates/core/src/execution.rs", src)]);
     assert!(diags.is_empty(), "{diags:?}");
-}
-
-// ---------------------------------------------------------------------------
-// config_surface
-// ---------------------------------------------------------------------------
-
-#[test]
-fn config_surface_fires_on_undocumented_field() {
-    let src = r#"
-pub struct SciborqConfig {
-    pub alpha: f64,
-}
-"#;
-    let diags = run(&[("crates/core/src/config.rs", src)], Some("no mention"));
-    // Missing builder, missing validation, missing README mention.
-    assert_eq!(lint_count(&diags, "config_surface"), 3, "{diags:?}");
-}
-
-#[test]
-fn config_surface_passes_fully_covered_field() {
-    let src = r#"
-pub struct SciborqConfig {
-    pub alpha: f64,
-}
-impl SciborqConfig {
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
-    pub fn validate(&self) -> Result<(), String> {
-        if !(self.alpha > 0.0) {
-            return Err("alpha must be positive".to_owned());
-        }
-        Ok(())
-    }
-}
-"#;
-    let diags = run(
-        &[("crates/core/src/config.rs", src)],
-        Some("the `alpha` knob controls everything"),
-    );
-    assert_eq!(lint_count(&diags, "config_surface"), 0, "{diags:?}");
-}
-
-#[test]
-fn config_surface_suppressed_with_reason() {
-    let src = r#"
-pub struct SciborqConfig {
-    // analyzer:allow(config_surface, reason = "every seed is valid; nothing to validate or build")
-    pub seed: u64,
-}
-"#;
-    let diags = run(&[("crates/core/src/config.rs", src)], None);
-    assert_eq!(lint_count(&diags, "config_surface"), 0, "{diags:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -366,7 +236,7 @@ impl S {{
 }}
 "
     );
-    let diags = run(&[("crates/core/src/session.rs", &src)], None);
+    let diags = run(&[("crates/core/src/session.rs", &src)]);
     assert!(lint_count(&diags, "lock_order") >= 1, "{diags:?}");
     assert_eq!(exit_code(&diags, false), 2);
 }
@@ -390,7 +260,7 @@ impl S {{
 }}
 "
     );
-    let diags = run(&[("crates/core/src/session.rs", &src)], None);
+    let diags = run(&[("crates/core/src/session.rs", &src)]);
     assert!(lint_count(&diags, "lock_order") >= 1, "{diags:?}");
     let msgs: Vec<&str> = diags.iter().map(|d| d.message.as_str()).collect();
     assert!(
@@ -423,7 +293,7 @@ impl S {{
 }}
 "
     );
-    let diags = run(&[("crates/core/src/session.rs", &src)], None);
+    let diags = run(&[("crates/core/src/session.rs", &src)]);
     assert_eq!(lint_count(&diags, "lock_order"), 0, "{diags:?}");
 }
 
@@ -444,7 +314,7 @@ impl S {
     }
 }
 "#;
-    let diags = run(&[("crates/serve/src/server.rs", src)], None);
+    let diags = run(&[("crates/serve/src/server.rs", src)]);
     assert!(lint_count(&diags, "lock_order") >= 1, "{diags:?}");
     assert!(
         diags.iter().any(|d| d.message.contains("wait")),
@@ -467,7 +337,7 @@ impl S {
     }
 }
 "#;
-    let diags = run(&[("crates/serve/src/server.rs", src)], None);
+    let diags = run(&[("crates/serve/src/server.rs", src)]);
     assert_eq!(lint_count(&diags, "lock_order"), 0, "{diags:?}");
 }
 
@@ -488,7 +358,7 @@ impl S {{
 }}
 "
     );
-    let diags = run(&[("crates/core/src/session.rs", &src)], None);
+    let diags = run(&[("crates/core/src/session.rs", &src)]);
     assert_eq!(lint_count(&diags, "lock_order"), 0, "{diags:?}");
     assert_eq!(exit_code(&diags, false), 0);
 }
@@ -505,7 +375,7 @@ fn answer() -> Answer {
     Answer { error_bound_met: true }
 }
 "#;
-    let diags = run(&[("crates/core/src/engine.rs", src)], None);
+    let diags = run(&[("crates/core/src/engine.rs", src)]);
     assert!(lint_count(&diags, "suppression") >= 1, "{diags:?}");
     // The malformed allow must not suppress the underlying finding.
     assert_eq!(lint_count(&diags, "bounds_honesty"), 1, "{diags:?}");
@@ -517,7 +387,7 @@ fn suppression_of_unknown_lint_is_an_error() {
 // analyzer:allow(made_up_lint, reason = "no such pass")
 fn f() {}
 "#;
-    let diags = run(&[("crates/core/src/engine.rs", src)], None);
+    let diags = run(&[("crates/core/src/engine.rs", src)]);
     assert_eq!(lint_count(&diags, "suppression"), 1, "{diags:?}");
 }
 
@@ -527,7 +397,7 @@ fn unused_suppression_is_a_warning() {
 // analyzer:allow(bounds_honesty, reason = "nothing here ever fires")
 fn f() {}
 "#;
-    let diags = run(&[("crates/core/src/engine.rs", src)], None);
+    let diags = run(&[("crates/core/src/engine.rs", src)]);
     assert_eq!(lint_count(&diags, "unused_suppression"), 1, "{diags:?}");
     assert!(diags.iter().all(|d| d.severity == Severity::Warning));
     // Warnings gate only under --deny warnings.
@@ -538,7 +408,7 @@ fn f() {}
 #[test]
 fn diagnostics_carry_file_and_line() {
     let src = "\nfn answer() -> Answer {\n    Answer { error_bound_met: true }\n}\n";
-    let diags = run(&[("crates/core/src/engine.rs", src)], None);
+    let diags = run(&[("crates/core/src/engine.rs", src)]);
     assert_eq!(diags.len(), 1);
     assert_eq!(diags[0].file, "crates/core/src/engine.rs");
     assert_eq!(diags[0].line, 3);

@@ -32,6 +32,16 @@
 //! rejected. NaN data is out of contract; NaN *constants* are handled with
 //! full oracle parity.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::column::Column;
 use crate::error::{ColumnarError, Result};
 use crate::expr::{CompareOp, Predicate};
@@ -537,7 +547,10 @@ where
         let mut out = Vec::with_capacity(parts.shard_count());
         out.push(work(shard_domain(0)));
         for handle in handles {
-            // analyzer:allow(panic_path, reason = "a worker panic is a bug in the kernel itself; re-raising it preserves scoped-thread abort semantics")
+            #[expect(
+                clippy::expect_used,
+                reason = "a worker panic is a bug in the kernel itself; re-raising it preserves scoped-thread abort semantics"
+            )]
             out.push(handle.join().expect("shard worker panicked"));
         }
         out
@@ -669,8 +682,11 @@ fn compile_between(col: usize, col_type: DataType, low: &Value, high: &Value) ->
 /// Unwrap a bound conversion that `bound_err` has already vetted for type
 /// compatibility; `None` here would mean the compatibility check and the
 /// conversion disagree about what converts.
+#[expect(
+    clippy::expect_used,
+    reason = "bound compatibility was checked by bound_err immediately before every call; a miss is a compile_between bug, not a data error"
+)]
 fn vetted<T>(bound: Option<T>) -> T {
-    // analyzer:allow(panic_path, reason = "bound compatibility was checked by bound_err immediately before every call; a miss is a compile_between bug, not a data error")
     bound.expect("checked compatible")
 }
 
@@ -707,14 +723,20 @@ fn compile_node(predicate: &Predicate, schema: &SchemaRef) -> Result<Node> {
 }
 
 /// Resolve a leaf's column name to its index and type.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "index_of returned this index one line up"
+)]
 fn leaf_column(schema: &SchemaRef, column: &str) -> Result<(usize, DataType)> {
     let col = schema.index_of(column)?;
-    // analyzer:allow(panic_path_index, reason = "index_of returned this index one line up")
     Ok((col, schema.fields()[col].data_type))
 }
 
 fn mismatch_error(table: &Table, col: usize, found: &'static str) -> ColumnarError {
-    // analyzer:allow(panic_path_index, reason = "leaf col indices come from index_of at compile time against this same schema")
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "leaf col indices come from index_of at compile time against this same schema"
+    )]
     let field = &table.schema().fields()[col];
     ColumnarError::TypeMismatch {
         column: field.name.clone(),
@@ -723,10 +745,13 @@ fn mismatch_error(table: &Table, col: usize, found: &'static str) -> ColumnarErr
     }
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "leaf col indices come from index_of at compile time; a miss means the table/schema pair changed under the predicate, a caller contract violation"
+)]
 fn column_at(table: &Table, col: usize) -> &Column {
     table
         .column_at(col)
-        // analyzer:allow(panic_path, reason = "leaf col indices come from index_of at compile time; a miss means the table/schema pair changed under the predicate, a caller contract violation")
         .expect("compiled column index within schema")
 }
 
@@ -734,23 +759,35 @@ fn column_at(table: &Table, col: usize) -> &Column {
 // a slice-type miss below means the Table violates its own schema — a
 // programming error surfaced loudly, not a recoverable data error.
 
+#[expect(
+    clippy::expect_used,
+    reason = "leaf type was verified against the schema at compile time; a miss is a schema-integrity bug"
+)]
 fn i64_cells(c: &Column) -> &[i64] {
-    // analyzer:allow(panic_path, reason = "leaf type was verified against the schema at compile time; a miss is a schema-integrity bug")
     c.i64_slice().expect("Int64 column")
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "leaf type was verified against the schema at compile time; a miss is a schema-integrity bug"
+)]
 fn f64_cells(c: &Column) -> &[f64] {
-    // analyzer:allow(panic_path, reason = "leaf type was verified against the schema at compile time; a miss is a schema-integrity bug")
     c.f64_slice().expect("Float64 column")
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "leaf type was verified against the schema at compile time; a miss is a schema-integrity bug"
+)]
 fn bool_cells(c: &Column) -> &[bool] {
-    // analyzer:allow(panic_path, reason = "leaf type was verified against the schema at compile time; a miss is a schema-integrity bug")
     c.bool_slice().expect("Bool column")
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "leaf type was verified against the schema at compile time; a miss is a schema-integrity bug"
+)]
 fn utf8_cells(c: &Column) -> &[String] {
-    // analyzer:allow(panic_path, reason = "leaf type was verified against the schema at compile time; a miss is a schema-integrity bug")
     c.utf8_slice().expect("Utf8 column")
 }
 
@@ -925,8 +962,11 @@ fn refine_leaf(
                 Ok(())
             }
         }
+        #[expect(
+            clippy::unreachable,
+            reason = "refine_node dispatches composites before reaching this leaf-only kernel table; hitting this arm is a dispatch bug"
+        )]
         Node::And(_) | Node::Or(_) | Node::Not(_) => {
-            // analyzer:allow(panic_path, reason = "refine_node dispatches composites before reaching this leaf-only kernel table; hitting this arm is a dispatch bug")
             unreachable!("composite nodes are handled by refine_node")
         }
     }

@@ -51,7 +51,19 @@
 //! (the scalar oracle rejects unordered comparisons the same way); NaN
 //! *constants* are detected at compile time and turned into an
 //! "error-if-any-valid-row" node by `CompiledPredicate`.
-// analyzer:allow-file(panic_path_index, reason = "kernels are the designated tight-loop tier: every index is bounds-established by the chunking/word math immediately above it, and checked indexing here would re-pay the bounds checks the kernel tier exists to amortise")
+
+// Indexing is not denied here: kernels are the designated tight-loop tier,
+// every index is bounds-established by the chunking/word math immediately
+// above it, and checked indexing would re-pay the bounds checks the kernel
+// tier exists to amortise.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 use crate::column::Bitmap;
 use crate::expr::CompareOp;
@@ -659,7 +671,10 @@ fn refine_plain<T: Copy>(
 ) -> MaskScan {
     match refine_mask(mask, validity, |base, _| Ok(value_word(values, base, test))) {
         Ok(scan) => scan,
-        // analyzer:allow(panic_path, reason = "the refinement closure is Ok-only; Err is unrepresentable here and the match arm exists only to satisfy the Result type")
+        #[expect(
+            clippy::unreachable,
+            reason = "the refinement closure is Ok-only; Err is unrepresentable here and the match arm exists only to satisfy the Result type"
+        )]
         Err(_) => unreachable!("infallible refinement"),
     }
 }
@@ -895,7 +910,10 @@ pub fn mask_cmp_str(
     };
     match scan {
         Ok(s) => s,
-        // analyzer:allow(panic_path, reason = "the refinement closure is Ok-only; Err is unrepresentable here and the match arm exists only to satisfy the Result type")
+        #[expect(
+            clippy::unreachable,
+            reason = "the refinement closure is Ok-only; Err is unrepresentable here and the match arm exists only to satisfy the Result type"
+        )]
         Err(_) => unreachable!("infallible refinement"),
     }
 }
@@ -951,7 +969,10 @@ pub fn mask_range_str(
         Ok(value_word_str(values, b, |v| low <= v && v <= high))
     }) {
         Ok(s) => s,
-        // analyzer:allow(panic_path, reason = "the refinement closure is Ok-only; Err is unrepresentable here and the match arm exists only to satisfy the Result type")
+        #[expect(
+            clippy::unreachable,
+            reason = "the refinement closure is Ok-only; Err is unrepresentable here and the match arm exists only to satisfy the Result type"
+        )]
         Err(_) => unreachable!("infallible refinement"),
     }
 }

@@ -8,9 +8,10 @@
 //! every level is **one shared scan pass**: queries that agree on their
 //! predicate and sink flavour (see `SinkSpec`) are deduplicated into a
 //! single [`multi_scan`] item whose result then feeds every member — an
-//! aggregate's estimator, or a SELECT's LIMIT and gather. Two SELECTs over
-//! one predicate share a pass whatever their LIMITs; each truncates the
-//! shared row ids to its own.
+//! aggregate's estimator, or a SELECT's LIMIT. Two SELECTs over one
+//! predicate share a pass whatever their LIMITs; each truncates the shared
+//! row ids to its own, and gathers its rows only from the level that
+//! answers it.
 //!
 //! Per query the loop applies the contract's rules: a level is admitted by
 //! its row count against the row budget (a level that is too big is
@@ -158,17 +159,45 @@ enum LevelSketch {
 }
 
 /// One query's answer at one completed level: the final answer if the
-/// level finishes the query, its best effort so far otherwise.
-enum LevelResult {
+/// level finishes the query, its best effort so far otherwise. A SELECT's
+/// `rows` are its matching row ids, cut to the LIMIT, until the level that
+/// answers it gathers them into a table ([`LevelResult::gather`]): a level
+/// the query escalates past never gathers.
+enum LevelResult<R = Vec<usize>> {
     Aggregate {
         value: Option<f64>,
         interval: Option<ConfidenceInterval>,
         error_bound_met: bool,
     },
     Rows {
-        rows: Table,
+        rows: R,
         estimated_total_matches: f64,
     },
+}
+
+impl LevelResult {
+    /// Gather a SELECT's row ids from `source`, the table of the level they
+    /// were matched in (named `name`); an aggregate passes through.
+    fn gather(self, source: &Table, name: &str) -> Result<LevelResult<Table>> {
+        Ok(match self {
+            LevelResult::Aggregate {
+                value,
+                interval,
+                error_bound_met,
+            } => LevelResult::Aggregate {
+                value,
+                interval,
+                error_bound_met,
+            },
+            LevelResult::Rows {
+                rows,
+                estimated_total_matches,
+            } => LevelResult::Rows {
+                rows: source.gather(&rows, format!("{name}.result"))?,
+                estimated_total_matches,
+            },
+        })
+    }
 }
 
 /// One query's in-flight escalation state.
@@ -287,7 +316,7 @@ impl<'q> QState<'q> {
         let query = self.query;
         let booked = match (&query.kind, sketch) {
             (QueryKind::Select, LevelSketch::Rows(selection)) => {
-                self.level_rows(table, impression, selection)
+                self.level_rows(impression, selection)
             }
             (QueryKind::Aggregate { kind, .. }, _) => match impression {
                 Some(impression) => self.level_estimate(impression, *kind, level, sketch),
@@ -297,7 +326,10 @@ impl<'q> QState<'q> {
         };
         match booked {
             Err(err) => self.fail(err),
-            Ok((result, true)) => self.finalize(result, level),
+            Ok((result, true)) => {
+                let name = impression.map_or(table.name(), Impression::name);
+                self.finalize(result, level, table, name);
+            }
             Ok((result, false)) => {
                 self.best = Some((result, level));
                 if !self.time_ok() {
@@ -363,32 +395,41 @@ impl<'q> QState<'q> {
     /// count.
     fn level_rows(
         &self,
-        table: &Table,
         impression: Option<&Impression>,
         selection: &SelectionVector,
     ) -> Result<(LevelResult, bool)> {
         let limit = self.query.limit;
         let wanted = self.bounds.min_result_rows.or(limit).unwrap_or(usize::MAX);
-        let (estimated_total_matches, enough, name) = match impression {
+        let (estimated_total_matches, enough) = match impression {
             Some(impression) => (
                 impression.estimate_count(selection)?.value,
                 selection.len() >= wanted.min(impression.row_count()),
-                impression.name(),
             ),
-            None => (selection.len() as f64, true, table.name()),
+            None => (selection.len() as f64, true),
         };
         let matched = selection.rows();
-        let returned = limit.map_or(matched, |limit| &matched[..limit.min(matched.len())]);
-        let rows = table.gather(returned, format!("{name}.result"))?;
-        let done = impression.is_none() || rows.row_count() >= wanted || enough && limit.is_none();
+        let rows = limit.map_or(matched, |limit| &matched[..limit.min(matched.len())]);
+        let done = impression.is_none() || rows.len() >= wanted || enough && limit.is_none();
         let result = LevelResult::Rows {
-            rows,
+            rows: rows.to_vec(),
             estimated_total_matches,
         };
         Ok((result, done))
     }
 
-    fn finalize(&mut self, result: LevelResult, level: EvaluationLevel) {
+    /// Answer the query with its result at `level`, whose table `source`
+    /// (named `name`) a SELECT gathers its rows from.
+    fn finalize(
+        &mut self,
+        result: LevelResult,
+        level: EvaluationLevel,
+        source: &Table,
+        name: &str,
+    ) {
+        let result = match result.gather(source, name) {
+            Ok(result) => result,
+            Err(err) => return self.fail(err),
+        };
         // time_bound_met is measured *after* the winning evaluation: meeting
         // the error bound does not excuse blowing the clock.
         let time_bound_met = self.time_ok();
@@ -557,7 +598,15 @@ impl BoundedQueryEngine {
         // Best-effort finalisation for whatever is still unresolved.
         for st in states.iter_mut().filter(|st| st.done.is_none()) {
             match st.best.take() {
-                Some((result, level)) => st.finalize(result, level),
+                Some((result, level)) => {
+                    // The base data always answers, so a best effort comes
+                    // from one of the impressions escalated through above.
+                    let impression = hierarchy
+                        .escalation_order()
+                        .find(|imp| EvaluationLevel::Layer(imp.layer()) == level)
+                        .expect("a best effort comes from an impression of this hierarchy");
+                    st.finalize(result, level, impression.data(), impression.name());
+                }
                 // Every admissible level was lost to an isolated panic:
                 // there is no honest estimate left to degrade to.
                 None if st.degraded => st.fail(SciborqError::Internal {

@@ -14,7 +14,6 @@ pub struct SciborqConfig {
     /// Default maximum relative error accepted without escalation.
     pub default_max_error: f64,
     /// Random seed for all samplers (reproducibility).
-    // analyzer:allow(config_surface, reason = "every u64 is a valid seed; there is no constraint for validate() to check")
     pub seed: u64,
     /// Number of histogram bins per tracked attribute (β in the paper).
     pub predicate_bins: usize,
@@ -45,7 +44,6 @@ pub struct SciborqConfig {
     /// ([`sciborq_telemetry::QueryTrace`]) and attaches it to answers.
     /// Tracing is strictly observational — on or off, answer bits are
     /// identical (the standing bit-identity contract covers telemetry).
-    // analyzer:allow(config_surface, reason = "a bool toggle has no invalid states for validate() to reject")
     pub collect_traces: bool,
     /// Number of recent query traces the session's trace ring retains (only
     /// consulted when `collect_traces` is on); must be positive.
@@ -252,10 +250,17 @@ mod tests {
         c = SciborqConfig::default();
         c.trace_capacity = 0;
         assert!(c.validate().is_err());
+        // `seed` and `collect_traces` have no invalid value: every u64 is a
+        // seed and both toggle states are valid.
+        c = SciborqConfig::default()
+            .with_seed(u64::MAX)
+            .with_collect_traces(true);
+        assert!(c.validate().is_ok());
     }
 
     #[test]
     fn chainable_builders_cover_every_knob() {
+        let default = SciborqConfig::default();
         let c = SciborqConfig::default()
             .with_layer_sizes(vec![2_000, 200])
             .with_confidence(0.99)
@@ -263,14 +268,43 @@ mod tests {
             .with_seed(7)
             .with_predicate_bins(12)
             .with_adapt_threshold(0.25)
-            .with_focal_threshold(3.0);
-        assert_eq!(c.layer_sizes, vec![2_000, 200]);
-        assert_eq!(c.confidence, 0.99);
-        assert_eq!(c.default_max_error, 0.05);
-        assert_eq!(c.seed, 7);
-        assert_eq!(c.predicate_bins, 12);
-        assert_eq!(c.adapt_threshold, 0.25);
-        assert_eq!(c.focal_threshold, 3.0);
+            .with_focal_threshold(3.0)
+            .with_parallelism(4)
+            .with_query_log_capacity(128)
+            .with_collect_traces(true)
+            .with_trace_capacity(8);
+        let readme = include_str!("../../../README.md");
+        // The destructure names every field with no `..`, so a new field
+        // does not compile until it is listed here: set away from its
+        // default by its builder above, and given a row in the README's
+        // configuration reference.
+        macro_rules! every_field {
+            ($($field:ident: $value:expr),* $(,)?) => {
+                let SciborqConfig { $($field),* } = &c;
+                $(
+                    assert_eq!(*$field, $value);
+                    assert_ne!(*$field, default.$field, "builder left the default");
+                    assert!(
+                        readme.contains(concat!("| `", stringify!($field), "` |")),
+                        "README has no configuration row for `{}`",
+                        stringify!($field),
+                    );
+                )*
+            };
+        }
+        every_field! {
+            layer_sizes: vec![2_000, 200],
+            confidence: 0.99,
+            default_max_error: 0.05,
+            seed: 7,
+            predicate_bins: 12,
+            adapt_threshold: 0.25,
+            focal_threshold: 3.0,
+            parallelism: 4,
+            query_log_capacity: 128,
+            collect_traces: true,
+            trace_capacity: 8,
+        }
         assert!(c.validate().is_ok());
     }
 

@@ -14,6 +14,16 @@
 //! Uses `std::sync` primitives (the waiting queue needs a condition
 //! variable).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use sciborq_core::{MetricsRegistry, QueryBounds, ScanProfile};
 use sciborq_telemetry::{Counter, Gauge, Histogram};
 use std::fmt;

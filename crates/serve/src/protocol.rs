@@ -44,6 +44,16 @@
 //!   `internal-fault` (an isolated fault consumed every rung of the
 //!   degradation ladder) or `query-error` (anything else typed).
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::admission::Overloaded;
 use crate::json::{Json, JsonError};
 use crate::server::ServerReply;
@@ -273,7 +283,9 @@ fn parse_bounds(doc: &Json) -> Result<QueryBounds, String> {
         if !(ms >= 0.0) {
             return Err("'time_budget_ms' must be non-negative".to_owned());
         }
-        bounds.time_budget = Some(Duration::from_secs_f64(ms / 1_000.0));
+        let budget = Duration::try_from_secs_f64(ms / 1_000.0)
+            .map_err(|_| "'time_budget_ms' is out of range".to_owned())?;
+        bounds.time_budget = Some(budget);
     }
     if let Some(n) = doc.get("min_result_rows").and_then(Json::as_f64) {
         bounds.min_result_rows = Some(n as usize);
@@ -553,6 +565,16 @@ mod tests {
             r#"{"query": {"table": "t", "kind": "count", "predicate": {"op": "near"}}}"#
         )
         .is_err());
+        // A budget past `Duration`'s range (or infinite) is a typed error.
+        for ms in ["1e300", "1e400"] {
+            let line = format!(
+                r#"{{"query": {{"table": "t", "kind": "count"}}, "bounds": {{"time_budget_ms": {ms}}}}}"#
+            );
+            assert!(matches!(
+                parse_request(&line),
+                Err(ProtocolError::Invalid(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,5 +1,15 @@
 //! The concurrent query server: admission, shared-scan batching, replies.
 
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing
+)]
+
 use crate::admission::{Admission, AdmissionController, Overloaded};
 use crate::config::ServeConfig;
 use sciborq_core::{
