@@ -12,13 +12,13 @@
 //! | `kernel_parity` | every public scan kernel is referenced by an equivalence test or the bench oracle |
 //! | `fault_discipline` | `fault_point!` sites are cfg-gated; every `catch_unwind` leaves a telemetry trace |
 //!
-//! Two invariants the toolchain can check are left to it: the hot-path and
+//! Two invariants the toolchain can check are left to it. The hot-path and
 //! serving modules deny clippy's `unwrap_used`, `expect_used`, `panic`,
 //! `unreachable`, `todo`, `unimplemented` and (outside the kernels)
-//! `indexing_slicing` lints (the root `clippy.toml` exempts tests), and
-//! `chainable_builders_cover_every_knob` in `crates/core/src/config.rs` fails
-//! to compile or fails until every `SciborqConfig` field has a builder and a
-//! README row.
+//! `indexing_slicing` lints; the root `clippy.toml` exempts tests. And
+//! `chainable_builders_cover_every_knob` in `crates/core/src/config.rs`
+//! does not compile, or fails, until every `SciborqConfig` field is set
+//! through its builder and has a README row.
 //!
 //! Findings can be suppressed inline with a comment of the form
 //! `analyzer:allow(<lint>, reason = "...")` directly after `//` — the
@@ -95,8 +95,8 @@ pub fn analyze(input: &AnalyzerInput) -> Vec<Diagnostic> {
 }
 
 /// Load the workspace rooted at `root`: every `.rs` file under
-/// `crates/*/src` and `crates/*/tests`. The analyzer
-/// crate itself is excluded — its fixture tests embed deliberately-broken
+/// `crates/*/src` and `crates/*/tests`. The analyzer crate itself is
+/// excluded — its fixture tests embed deliberately-broken
 /// snippets (and suppression examples) that must not be mistaken for
 /// workspace code.
 pub fn load_workspace(root: &Path) -> io::Result<AnalyzerInput> {
