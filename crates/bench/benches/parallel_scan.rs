@@ -89,20 +89,20 @@ impl BenchRow {
     }
 }
 
-/// The sharded selection the way the engine's SELECT path takes it: one
-/// `multi_scan` item streaming into a row-id sink.
-fn select_sharded(
+/// A selection the way the engine's SELECT path takes it: one `multi_scan`
+/// item streaming into a row-id sink, serial or sharded over `parts`.
+fn select(
     compiled: &CompiledPredicate,
     table: &Table,
-    parts: &Partitioning,
+    parts: Option<&Partitioning>,
 ) -> SelectionVector {
     let mut rows: Vec<usize> = Vec::new();
     let mut items = [MultiScanItem {
         predicate: compiled,
         sink: &mut rows,
     }];
-    let results = multi_scan(table, &mut items, Some(parts));
-    assert!(results.iter().all(Result::is_ok), "sharded selection");
+    let results = multi_scan(table, &mut items, parts);
+    assert!(results.iter().all(Result::is_ok), "selection");
     SelectionVector::from_sorted_rows(rows)
 }
 
@@ -111,7 +111,7 @@ fn select_sharded(
 /// shard counts. Panics on any divergence.
 fn verify_bit_identity(table: &Table, predicate: &Predicate, compiled: &CompiledPredicate) {
     let oracle_sel = predicate.evaluate(table).expect("oracle evaluates");
-    let single_sel = compiled.evaluate(table).expect("kernels evaluate");
+    let single_sel = select(compiled, table, None);
     assert_eq!(
         oracle_sel, single_sel,
         "single-threaded vs oracle selection"
@@ -122,7 +122,7 @@ fn verify_bit_identity(table: &Table, predicate: &Predicate, compiled: &Compiled
         .expect("fused moments");
     for shards in SHARD_COUNTS {
         let parts = Partitioning::even(table.row_count(), shards);
-        let sel = select_sharded(compiled, table, &parts);
+        let sel = select(compiled, table, Some(&parts));
         assert_eq!(sel, single_sel, "sharded selection at {shards} shards");
         let (count, _) = compiled
             .count_matches_partitioned(table, &parts)
@@ -250,10 +250,10 @@ fn main() {
     // --- selection materialisation ------------------------------------------
     {
         let compiled = CompiledPredicate::compile(&range, schema).expect("compiles");
-        let single_ns = time_ns(|| compiled.evaluate(&table).expect("kernels").len() as u64);
+        let single_ns = time_ns(|| select(&compiled, &table, None).len() as u64);
         for shards in SHARD_COUNTS {
             let parts = Partitioning::even(table.row_count(), shards);
-            let sharded_ns = time_ns(|| select_sharded(&compiled, &table, &parts).len() as u64);
+            let sharded_ns = time_ns(|| select(&compiled, &table, Some(&parts)).len() as u64);
             rows.push(BenchRow {
                 name: "selection_scan",
                 threads: shards,

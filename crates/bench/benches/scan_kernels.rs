@@ -23,14 +23,28 @@
 //! kernel cannot post a winning number.
 
 use sciborq_columnar::{
-    compute_aggregate, AggregateKind, Column, CompiledPredicate, DataType, Field, Predicate,
-    RecordBatch, Schema, Table, Value,
+    compute_aggregate, multi_scan, AggregateKind, Column, CompiledPredicate, DataType, Field,
+    MultiScanItem, Predicate, RecordBatch, Schema, SelectionVector, Table, Value,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
 
 const FULL_ROWS: usize = 10_000_000;
 const QUICK_ROWS: usize = 200_000;
+
+/// A selection the way the engine's SELECT path takes it: one serial
+/// `multi_scan` item streaming into a row-id sink.
+fn select(compiled: &CompiledPredicate, table: &Table) -> SelectionVector {
+    let mut rows: Vec<usize> = Vec::new();
+    let mut items = [MultiScanItem {
+        predicate: compiled,
+        sink: &mut rows,
+    }];
+    multi_scan(table, &mut items, None)
+        .remove(0)
+        .expect("kernels select");
+    SelectionVector::from_sorted_rows(rows)
+}
 
 fn quick_mode() -> bool {
     std::env::var("SCIBORQ_BENCH_QUICK").is_ok_and(|v| v == "1")
@@ -141,12 +155,12 @@ fn main() {
         let compiled = CompiledPredicate::compile(predicate, table.schema()).expect("compiles");
         let expected = predicate.evaluate(table).expect("oracle");
         assert_eq!(
-            compiled.evaluate(table).expect("chunked"),
+            select(&compiled, table),
             expected,
             "{name}: chunked selection diverges from the oracle"
         );
         let scalar_ns = time_ns(&mut || predicate.evaluate(table).expect("oracle").len() as u64);
-        let chunked_ns = time_ns(&mut || compiled.evaluate(table).expect("chunked").len() as u64);
+        let chunked_ns = time_ns(&mut || select(&compiled, table).len() as u64);
         rows.push(BenchRow {
             name,
             scalar_ns,

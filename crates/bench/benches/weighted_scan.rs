@@ -147,6 +147,20 @@ fn legacy_sum_estimate(imp: &Impression, column: &str, selection: &SelectionVect
     est
 }
 
+/// A selection the way the engine's SELECT path takes it: one serial
+/// `multi_scan` item streaming into a row-id sink.
+fn select(compiled: &CompiledPredicate, table: &Table) -> SelectionVector {
+    let mut rows: Vec<usize> = Vec::new();
+    let mut items = [MultiScanItem {
+        predicate: compiled,
+        sink: &mut rows,
+    }];
+    multi_scan(table, &mut items, None)
+        .remove(0)
+        .expect("kernels select");
+    SelectionVector::from_sorted_rows(rows)
+}
+
 /// The streamed path: a weighted sink (counting when `column` is `None`)
 /// driven through `multi_scan`, serially or over `parts`.
 fn streamed_sketch(
@@ -254,7 +268,7 @@ fn verify(imp: &Impression, predicate: &Predicate, compiled: &CompiledPredicate)
     let table = imp.data();
     let probs = imp.selection_probabilities();
     let oracle_sel = predicate.evaluate(table).expect("oracle evaluates");
-    let fast_sel = compiled.evaluate(table).expect("kernels evaluate");
+    let fast_sel = select(compiled, table);
     assert_eq!(oracle_sel, fast_sel, "kernel selection vs oracle");
 
     let legacy = legacy_count_estimate(imp, &oracle_sel);
@@ -357,11 +371,11 @@ fn main() {
     ] {
         let compiled = CompiledPredicate::compile(predicate, schema).expect("compiles");
         let legacy_ns = time_ns(|| {
-            let sel = compiled.evaluate(table).expect("kernels");
+            let sel = select(&compiled, table);
             legacy_count_estimate(&imp, &sel).sample_size as u64
         });
         let selection_ns = time_ns(|| {
-            let sel = compiled.evaluate(table).expect("kernels");
+            let sel = select(&compiled, table);
             imp.estimate_count(&sel).expect("fallback").sample_size as u64
         });
         let streamed_ns = time_ns(|| {
@@ -381,11 +395,11 @@ fn main() {
     for (name, predicate) in [("weighted_sum", &range), ("weighted_sum_refined", &cone)] {
         let compiled = CompiledPredicate::compile(predicate, schema).expect("compiles");
         let legacy_ns = time_ns(|| {
-            let sel = compiled.evaluate(table).expect("kernels");
+            let sel = select(&compiled, table);
             legacy_sum_estimate(&imp, "r_mag", &sel).sample_size as u64
         });
         let selection_ns = time_ns(|| {
-            let sel = compiled.evaluate(table).expect("kernels");
+            let sel = select(&compiled, table);
             imp.estimate_sum("r_mag", &sel)
                 .expect("fallback")
                 .sample_size as u64
@@ -409,7 +423,7 @@ fn main() {
     {
         let compiled = CompiledPredicate::compile(&range, schema).expect("compiles");
         let selection_ns = time_ns(|| {
-            let sel = compiled.evaluate(table).expect("kernels");
+            let sel = select(&compiled, table);
             imp.estimate_avg("r_mag", &sel)
                 .expect("fallback")
                 .sample_size as u64

@@ -53,7 +53,6 @@ use crate::kernels::{
 };
 use crate::partition::Partitioning;
 use crate::schema::SchemaRef;
-use crate::selection::SelectionVector;
 use crate::table::Table;
 use crate::value::{DataType, Value};
 use std::sync::Arc;
@@ -195,39 +194,12 @@ impl CompiledPredicate {
         }
     }
 
-    /// Evaluate to a selection vector (vectorized equivalent of
-    /// `Predicate::evaluate`).
-    pub fn evaluate(&self, table: &Table) -> Result<SelectionVector> {
-        self.evaluate_with_stats(table).map(|(sel, _)| sel)
-    }
-
-    /// Evaluate to a selection vector, also reporting measured scan work.
-    pub fn evaluate_with_stats(&self, table: &Table) -> Result<(SelectionVector, ScanStats)> {
-        self.check_table(table)?;
-        let mut stats = ScanStats::default();
-        let mut rows: Vec<usize> = Vec::new();
-        self.run_fused(
-            table,
-            ScanDomain::Full(table.row_count()),
-            &mut rows,
-            &mut stats,
-        )?;
-        Ok((SelectionVector::from_sorted_rows(rows), stats))
-    }
-
     /// Fused filter+count: the number of matching rows, without
     /// materialising a selection vector.
     pub fn count_matches(&self, table: &Table) -> Result<(usize, ScanStats)> {
-        self.check_table(table)?;
-        let mut stats = ScanStats::default();
-        let mut sink = CountSink::default();
-        self.run_fused(
-            table,
-            ScanDomain::Full(table.row_count()),
-            &mut sink,
-            &mut stats,
-        )?;
-        Ok((sink.0, stats))
+        let parts = Partitioning::single(table.row_count());
+        let (count, mut stats) = self.count_matches_partitioned(table, &parts)?;
+        Ok((count, stats.pop().unwrap_or_default()))
     }
 
     /// Fused filter+aggregate: stream the aggregated column's values of
@@ -236,119 +208,28 @@ impl CompiledPredicate {
     ///
     /// `column` must be numeric (Int64 or Float64).
     pub fn filter_moments(&self, table: &Table, column: &str) -> Result<(MomentSketch, ScanStats)> {
-        self.check_table(table)?;
-        let source = numeric_source(table, column)?;
-        let mut stats = ScanStats::default();
-        let mut sink = MomentSink::new(source);
-        self.run_fused(
-            table,
-            ScanDomain::Full(table.row_count()),
-            &mut sink,
-            &mut stats,
-        )?;
-        Ok((sink.sketch, stats))
+        let parts = Partitioning::single(table.row_count());
+        let (sketch, mut stats) = self.filter_moments_partitioned(table, column, &parts)?;
+        Ok((sketch, stats.pop().unwrap_or_default()))
     }
 
-    /// Fan the filter out over the shards of `parts`, then replay the
-    /// matching rows into `sink` in ascending shard order (= global row
-    /// order): the shared tail of the partitioned fused-aggregate paths.
-    fn replay_shards_into<S: SelectionSink>(
-        &self,
-        table: &Table,
-        parts: &Partitioning,
-        sink: &mut S,
-    ) -> Result<Vec<ScanStats>> {
-        let shards = self.shard_rows(table, parts)?;
-        let mut stats = Vec::with_capacity(shards.len());
-        for (rows, shard_stats) in shards {
-            for row in rows {
-                sink.accept(row);
-            }
-            stats.push(shard_stats);
-        }
-        Ok(stats)
-    }
-
-    /// Filter every shard of `parts` on its own worker, materialising each
-    /// shard's matching row ids (absolute, ascending) with its measured
-    /// work. On error, the lowest failing shard's error wins.
-    fn shard_rows(
-        &self,
-        table: &Table,
-        parts: &Partitioning,
-    ) -> Result<Vec<(Vec<usize>, ScanStats)>> {
-        for_each_shard(parts, |domain| {
-            let mut stats = ScanStats::default();
-            let mut rows: Vec<usize> = Vec::new();
-            self.run_fused(table, domain, &mut rows, &mut stats)?;
-            Ok((rows, stats))
-        })
-        .into_iter()
-        .collect()
-    }
-
-    /// Run the predicate over `base` through the chunked mask evaluator:
-    /// seed a [`MatchMask`] covering the base rows, refine it word-at-a-time
-    /// through every node, and stream the surviving bits into `sink` in
-    /// ascending row order. `base` is the full table for the single-threaded
-    /// path and one shard's row range (or one serial batch) for the
-    /// partitioned and multi-scan paths.
-    fn run_fused<S: SelectionSink>(
-        &self,
-        table: &Table,
-        base: ScanDomain,
-        sink: &mut S,
-        stats: &mut ScanStats,
-    ) -> Result<()> {
-        let (start, end) = base.bounds();
-        let mut mask = MatchMask::coverage(start, end);
-        refine_node(&self.root, table, &mut mask, stats)?;
-        mask.emit(sink);
-        Ok(())
-    }
-
-    fn check_partitioning(&self, table: &Table, parts: &Partitioning) -> Result<()> {
-        self.check_table(table)?;
-        if parts.row_count() != table.row_count() {
-            return Err(ColumnarError::LengthMismatch {
-                expected: table.row_count(),
-                found: parts.row_count(),
-            });
-        }
-        Ok(())
-    }
-
-    /// Sharded fused filter+count: per-shard [`CountSink`]s run in parallel
-    /// and the candidate counts are summed (integer addition — exact, so
-    /// the total is bit-identical to [`CompiledPredicate::count_matches`]).
+    /// Sharded fused filter+count: the per-shard masks are popcounted in
+    /// ascending shard order (integer addition — exact, so the total equals
+    /// [`CompiledPredicate::count_matches`]).
     pub fn count_matches_partitioned(
         &self,
         table: &Table,
         parts: &Partitioning,
     ) -> Result<(usize, Vec<ScanStats>)> {
-        self.check_partitioning(table, parts)?;
-        let shards = for_each_shard(parts, |domain| {
-            let mut stats = ScanStats::default();
-            let mut sink = CountSink::default();
-            self.run_fused(table, domain, &mut sink, &mut stats)?;
-            Ok((sink.0, stats))
-        })
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-        let mut total = 0usize;
-        let mut stats = Vec::with_capacity(shards.len());
-        for (count, shard_stats) in shards {
-            total += count;
-            stats.push(shard_stats);
-        }
-        Ok((total, stats))
+        let (sink, stats) = self.scan_into(table, parts, || Ok(CountSink::default()))?;
+        Ok((sink.0, stats))
     }
 
     /// Sharded fused filter+aggregate. The *filter* — the dominant cost —
-    /// fans out: each worker produces its shard's matching row ids. The
-    /// matched rows are then folded into one [`MomentSketch`] on the calling
-    /// thread, in ascending shard order, i.e. in global row order: exactly
-    /// the push sequence of the single-threaded
+    /// fans out: each worker refines its shard's [`MatchMask`]. The masks
+    /// are then folded into one [`MomentSketch`] on the calling thread, in
+    /// ascending shard order and word by word, i.e. in global row order:
+    /// exactly the push sequence of the single-threaded
     /// [`CompiledPredicate::filter_moments`], so every accumulated moment
     /// (including the order-sensitive `sum` and Welford `mean`/`m2`) is
     /// **bit-identical** to the single-threaded path and therefore to the
@@ -362,11 +243,53 @@ impl CompiledPredicate {
         column: &str,
         parts: &Partitioning,
     ) -> Result<(MomentSketch, Vec<ScanStats>)> {
-        self.check_partitioning(table, parts)?;
-        let source = numeric_source(table, column)?;
-        let mut sink = MomentSink::new(source);
-        let stats = self.replay_shards_into(table, parts, &mut sink)?;
+        let (sink, stats) = self.scan_into(table, parts, || {
+            numeric_source(table, column).map(MomentSink::new)
+        })?;
         Ok((sink.sketch, stats))
+    }
+
+    /// The one fold path of the single-predicate entry points: check the
+    /// table and `parts`, build the sink, refine every shard's mask on its
+    /// own worker, then emit the masks into the sink in ascending shard
+    /// order. Returns each shard's measured work; on error, the lowest
+    /// failing shard's error wins.
+    fn scan_into<S: SelectionSink>(
+        &self,
+        table: &Table,
+        parts: &Partitioning,
+        sink: impl FnOnce() -> Result<S>,
+    ) -> Result<(S, Vec<ScanStats>)> {
+        self.check_table(table)?;
+        if parts.row_count() != table.row_count() {
+            return Err(ColumnarError::LengthMismatch {
+                expected: table.row_count(),
+                found: parts.row_count(),
+            });
+        }
+        let mut sink = sink()?;
+        let shards = for_each_shard(parts, |domain| self.refine(table, domain))
+            .into_iter()
+            .collect::<Result<Vec<_>>>()?;
+        let mut stats = Vec::with_capacity(shards.len());
+        for (mask, shard_stats) in shards {
+            mask.emit(&mut sink);
+            stats.push(shard_stats);
+        }
+        Ok((sink, stats))
+    }
+
+    /// Run the predicate over `base` through the chunked mask evaluator:
+    /// seed a [`MatchMask`] covering the base rows and refine it
+    /// word-at-a-time through every node. `base` is one shard's row range
+    /// or one serial batch; the caller emits the surviving bits into its
+    /// sink with [`MatchMask::emit`], in ascending row order.
+    fn refine(&self, table: &Table, base: ScanDomain) -> Result<(MatchMask, ScanStats)> {
+        let (start, end) = base.bounds();
+        let mut mask = MatchMask::coverage(start, end);
+        let mut stats = ScanStats::default();
+        refine_node(&self.root, table, &mut mask, &mut stats)?;
+        Ok((mask, stats))
     }
 }
 
@@ -400,11 +323,16 @@ pub const MULTI_SCAN_BATCH_ROWS: usize = 8_192;
 /// probabilities) by table row, so that data must cover the table.
 ///
 /// **Bit-identity.** Every sink receives exactly the rows the scalar oracle
-/// selects, in ascending row order: the serial path walks contiguous row
-/// batches in order, and the sharded path (`parts` with more than one
-/// shard) has workers materialise per-shard match lists which are replayed
-/// into the sinks on the calling thread in ascending shard order — the same
-/// fixed-order fold as [`CompiledPredicate::filter_moments_partitioned`].
+/// selects, in ascending row order. Both paths fold the same way: each
+/// batch (serial path) or shard (`parts` with more than one shard, one
+/// worker per shard) refines a [`MatchMask`], and the calling thread emits
+/// the masks into the sinks in ascending row order through
+/// [`MatchMask::emit`], one [`SelectionSink::accept_word`] call per
+/// non-zero 64-row word — the same fixed-order fold as
+/// [`CompiledPredicate::filter_moments_partitioned`]. A shard boundary
+/// inside a word is harmless: the lower shard emits the word's low bits and
+/// the next shard its high bits, at the same base, so the order stays
+/// ascending.
 /// Accumulated moments are therefore bit-identical whatever the batch
 /// composition or shard count. Scan-work accounting is additive across row
 /// batches and shards, except that a lazily type-mismatched literal checks
@@ -446,7 +374,7 @@ pub fn multi_scan(
 }
 
 /// The shared serial sweep: batches of contiguous rows, all live predicates
-/// evaluated per batch, matches streamed straight into the sinks.
+/// refined and folded per batch, so a batch's column data stays hot.
 fn multi_scan_serial(
     table: &Table,
     items: &mut [MultiScanItem<'_, '_>],
@@ -458,23 +386,18 @@ fn multi_scan_serial(
         let end = rows.min(start + MULTI_SCAN_BATCH_ROWS);
         let domain = ScanDomain::Range { start, end };
         for (item, result) in items.iter_mut().zip(results.iter_mut()) {
-            let Ok(stats) = result else { continue };
-            if let Err(err) = item
-                .predicate
-                .run_fused(table, domain, &mut item.sink, stats)
-            {
-                *result = Err(err);
+            if result.is_ok() {
+                fold(item, result, item.predicate.refine(table, domain));
             }
         }
         start = end;
     }
 }
 
-/// The sharded sweep: every worker evaluates all live predicates over its
-/// shard and materialises per-item match lists; the calling thread replays
-/// them into the sinks in ascending shard order (= global row order). Per
-/// item, the error of the lowest failing shard wins, so failures are
-/// deterministic regardless of thread scheduling.
+/// The sharded sweep: every worker refines one mask per live predicate over
+/// its shard; the calling thread folds the masks in ascending shard order
+/// (= global row order). Per item, the error of the lowest failing shard
+/// wins, so failures are deterministic regardless of thread scheduling.
 fn multi_scan_sharded(
     table: &Table,
     items: &mut [MultiScanItem<'_, '_>],
@@ -487,31 +410,37 @@ fn multi_scan_sharded(
         predicates
             .iter()
             .zip(&live)
-            .map(|(predicate, live)| {
-                if !live {
-                    return Ok((Vec::new(), ScanStats::default()));
+            .map(|(predicate, &live)| {
+                if live {
+                    predicate.refine(table, domain)
+                } else {
+                    Ok((MatchMask::coverage(0, 0), ScanStats::default()))
                 }
-                let mut stats = ScanStats::default();
-                let mut rows: Vec<usize> = Vec::new();
-                predicate
-                    .run_fused(table, domain, &mut rows, &mut stats)
-                    .map(|()| (rows, stats))
             })
             .collect::<Vec<_>>()
     });
     for shard in per_shard {
-        for ((item, result), item_shard) in items.iter_mut().zip(results.iter_mut()).zip(shard) {
-            let Ok(total) = result else { continue };
-            match item_shard {
-                Ok((rows, stats)) => {
-                    total.merge(&stats);
-                    for row in rows {
-                        item.sink.accept(row);
-                    }
-                }
-                Err(err) => *result = Err(err),
-            }
+        for ((item, result), refined) in items.iter_mut().zip(results.iter_mut()).zip(shard) {
+            fold(item, result, refined);
         }
+    }
+}
+
+/// Fold one batch's or shard's refined mask into an item: add its measured
+/// work and emit its words into the item's sink, or record its error. An
+/// item that already failed takes nothing more.
+fn fold(
+    item: &mut MultiScanItem<'_, '_>,
+    result: &mut Result<ScanStats>,
+    refined: Result<(MatchMask, ScanStats)>,
+) {
+    let Ok(total) = result else { return };
+    match refined {
+        Ok((mask, stats)) => {
+            total.merge(&stats);
+            mask.emit(&mut *item.sink);
+        }
+        Err(err) => *result = Err(err),
     }
 }
 
@@ -978,6 +907,7 @@ mod tests {
     use crate::aggregate::{compute_aggregate, AggregateKind};
     use crate::kernels::WeightedMomentSink;
     use crate::schema::{Field, Schema};
+    use crate::selection::SelectionVector;
     use sciborq_stats::WeightedMomentSketch;
 
     fn test_table() -> Table {
@@ -1002,22 +932,27 @@ mod tests {
         t
     }
 
-    /// The sharded selection as the engine's SELECT path takes it: one
-    /// `multi_scan` item streaming into a row-id sink.
-    fn select_sharded(
+    /// A selection as the engine's SELECT path takes it: one `multi_scan`
+    /// item streaming into a row-id sink, serial or sharded over `parts`.
+    fn select(
         c: &CompiledPredicate,
         t: &Table,
-        parts: &Partitioning,
+        parts: Option<&Partitioning>,
     ) -> Result<(SelectionVector, ScanStats)> {
         let mut rows: Vec<usize> = Vec::new();
         let mut items = [MultiScanItem {
             predicate: c,
             sink: &mut rows,
         }];
-        let stats = multi_scan(t, &mut items, Some(parts))
+        let stats = multi_scan(t, &mut items, parts)
             .pop()
             .expect("one item, one result")?;
         Ok((SelectionVector::from_sorted_rows(rows), stats))
+    }
+
+    /// The serial selection alone.
+    fn evaluate(c: &CompiledPredicate, t: &Table) -> Result<SelectionVector> {
+        select(c, t, None).map(|(sel, _)| sel)
     }
 
     fn compiled(p: &Predicate, t: &Table) -> CompiledPredicate {
@@ -1044,7 +979,7 @@ mod tests {
         ];
         for p in predicates {
             let oracle = p.evaluate(&t).unwrap();
-            let fast = compiled(&p, &t).evaluate(&t).unwrap();
+            let fast = evaluate(&compiled(&p, &t), &t).unwrap();
             assert_eq!(oracle, fast, "predicate {p}");
         }
     }
@@ -1064,7 +999,7 @@ mod tests {
         let p = Predicate::eq("class", 5);
         let c = compiled(&p, &t);
         assert!(matches!(
-            c.evaluate(&t),
+            evaluate(&c, &t),
             Err(ColumnarError::TypeMismatch { .. })
         ));
         // but an all-NULL column never raises the mismatch
@@ -1074,7 +1009,7 @@ mod tests {
         let p = Predicate::eq("x", 5);
         assert!(p.evaluate(&empty).unwrap().is_empty());
         let c = CompiledPredicate::compile(&p, empty.schema()).unwrap();
-        assert!(c.evaluate(&empty).unwrap().is_empty());
+        assert!(evaluate(&c, &empty).unwrap().is_empty());
     }
 
     #[test]
@@ -1082,11 +1017,11 @@ mod tests {
         let t = test_table();
         let p = Predicate::eq("class", "NO_SUCH").and(Predicate::eq("ra", "not a number"));
         assert!(p.evaluate(&t).unwrap().is_empty());
-        assert!(compiled(&p, &t).evaluate(&t).unwrap().is_empty());
+        assert!(evaluate(&compiled(&p, &t), &t).unwrap().is_empty());
         // without the short circuit the mismatch fires on both paths
         let p = Predicate::eq("class", "GALAXY").and(Predicate::eq("ra", "not a number"));
         assert!(p.evaluate(&t).is_err());
-        assert!(compiled(&p, &t).evaluate(&t).is_err());
+        assert!(evaluate(&compiled(&p, &t), &t).is_err());
     }
 
     #[test]
@@ -1094,7 +1029,7 @@ mod tests {
         let t = test_table();
         let p = Predicate::gt("ra", f64::NAN);
         assert!(p.evaluate(&t).is_err());
-        assert!(compiled(&p, &t).evaluate(&t).is_err());
+        assert!(evaluate(&compiled(&p, &t), &t).is_err());
     }
 
     #[test]
@@ -1102,10 +1037,10 @@ mod tests {
         let t = test_table();
         let p = Predicate::between("ra", Value::Null, 190.0);
         assert!(p.evaluate(&t).unwrap().is_empty());
-        assert!(compiled(&p, &t).evaluate(&t).unwrap().is_empty());
+        assert!(evaluate(&compiled(&p, &t), &t).unwrap().is_empty());
         let p = Predicate::between("ra", Value::Null, "oops");
         assert!(p.evaluate(&t).is_err());
-        assert!(compiled(&p, &t).evaluate(&t).is_err());
+        assert!(evaluate(&compiled(&p, &t), &t).is_err());
     }
 
     #[test]
@@ -1120,7 +1055,7 @@ mod tests {
         ] {
             let c = compiled(&p, &t);
             let (count, _) = c.count_matches(&t).unwrap();
-            assert_eq!(count, c.evaluate(&t).unwrap().len(), "predicate {p}");
+            assert_eq!(count, evaluate(&c, &t).unwrap().len(), "predicate {p}");
         }
     }
 
@@ -1164,7 +1099,7 @@ mod tests {
         let t = test_table();
         let p = Predicate::between("ra", 175.0, 191.0).and(Predicate::eq("class", "GALAXY"));
         let c = compiled(&p, &t);
-        let (sel, stats) = c.evaluate_with_stats(&t).unwrap();
+        let (sel, stats) = select(&c, &t, None).unwrap();
         assert_eq!(sel.rows(), &[0, 2]);
         // first pass visits all 5 rows, second only the 3 candidates
         assert_eq!(stats.rows_visited, 8);
@@ -1176,7 +1111,7 @@ mod tests {
         let other_schema = Schema::shared(vec![Field::new("x", DataType::Int64)]).unwrap();
         let other = Table::new("other", other_schema);
         let c = compiled(&Predicate::True, &t);
-        assert!(c.evaluate(&other).is_err());
+        assert!(evaluate(&c, &other).is_err());
         assert!(c.matches_schema(t.schema()));
         assert!(!c.matches_schema(other.schema()));
     }
@@ -1195,12 +1130,12 @@ mod tests {
         ];
         for p in predicates {
             let c = compiled(&p, &t);
-            let (single, single_stats) = c.evaluate_with_stats(&t).unwrap();
+            let (single, single_stats) = select(&c, &t, None).unwrap();
             let (single_count, single_count_stats) = c.count_matches(&t).unwrap();
             let (single_sketch, single_moment_stats) = c.filter_moments(&t, "r_mag").unwrap();
             for shards in [1usize, 2, 3, 5, 9] {
                 let parts = Partitioning::even(t.row_count(), shards);
-                let (sel, stats) = select_sharded(&c, &t, &parts).unwrap();
+                let (sel, stats) = select(&c, &t, Some(&parts)).unwrap();
                 assert_eq!(sel, single, "selection for {p} at {shards} shards");
                 assert_eq!(
                     stats.rows_visited, single_stats.rows_visited,
@@ -1242,7 +1177,7 @@ mod tests {
         let c = compiled(&p, &t);
         let parts = Partitioning::even(t.row_count(), 3);
         assert!(matches!(
-            select_sharded(&c, &t, &parts),
+            select(&c, &t, Some(&parts)),
             Err(ColumnarError::TypeMismatch { .. })
         ));
         assert!(c.count_matches_partitioned(&t, &parts).is_err());
@@ -1255,7 +1190,7 @@ mod tests {
         let c = compiled(&Predicate::True, &t);
         let bad = Partitioning::even(t.row_count() + 1, 2);
         assert!(matches!(
-            select_sharded(&c, &t, &bad),
+            select(&c, &t, Some(&bad)),
             Err(ColumnarError::LengthMismatch { .. })
         ));
     }
@@ -1266,7 +1201,7 @@ mod tests {
         let t = Table::new("t", schema);
         let c = CompiledPredicate::compile(&Predicate::lt("x", 1.0), t.schema()).unwrap();
         let parts = Partitioning::even(0, 4);
-        let (sel, _) = select_sharded(&c, &t, &parts).unwrap();
+        let (sel, _) = select(&c, &t, Some(&parts)).unwrap();
         assert!(sel.is_empty());
         let (count, _) = c.count_matches_partitioned(&t, &parts).unwrap();
         assert_eq!(count, 0);
@@ -1555,7 +1490,7 @@ mod tests {
         let p =
             Predicate::between("ra", 175.0, 191.0).and(Predicate::eq("class", "GALAXY").negate());
         let oracle = p.evaluate(&t).unwrap();
-        let fast = compiled(&p, &t).evaluate(&t).unwrap();
+        let fast = evaluate(&compiled(&p, &t), &t).unwrap();
         assert_eq!(oracle, fast);
         assert_eq!(fast.rows(), &[1]);
     }

@@ -25,9 +25,10 @@
 //!   ([`Column::Utf8Dict`]) whose string predicates collapse into integer
 //!   code ranges ([`DictPred`]),
 //! * a sharded parallel scan path: contiguous row-range partitionings
-//!   ([`Partitioning`]) fanned out by one scoped-thread helper, with
-//!   per-shard results merged in fixed shard order so sharded execution is
-//!   bit-identical to the single-threaded kernels,
+//!   ([`Partitioning`]) fanned out by one scoped-thread helper; each shard
+//!   returns its match mask and the calling thread folds the masks word by
+//!   word in ascending shard order, so sharded execution is bit-identical
+//!   to the single-threaded kernels,
 //! * a shared multi-query scan that evaluates N compiled predicates per row
 //!   batch and routes matches into N independent sinks ([`multi_scan`]) —
 //!   the aggregate engine's one scan entry point (a single query is a batch

@@ -3,17 +3,19 @@
 //! The sharded scan path splits a table into contiguous, non-overlapping row
 //! ranges that together cover `0..row_count`. Each shard is scanned by its
 //! own worker through the same compiled-predicate kernels (restricted via
-//! [`crate::ScanDomain::Range`]), and the per-shard results are merged in
-//! ascending shard order. Because the shards are contiguous and merged in a
-//! fixed order, the merged candidate lists arrive in global row order and the
-//! sharded pipeline reproduces the single-threaded pipeline **bit for bit**
-//! — see [`crate::CompiledPredicate::filter_moments_partitioned`].
+//! [`crate::ScanDomain::Range`]) into a [`crate::MatchMask`], and the calling
+//! thread emits the masks into the sinks word by word in ascending shard
+//! order. Because the shards are contiguous and emitted in a fixed order, the
+//! matches arrive in global row order and the sharded pipeline reproduces
+//! the single-threaded pipeline **bit for bit** — see
+//! [`crate::CompiledPredicate::filter_moments_partitioned`].
 //!
 //! Row indices stay *absolute* throughout: a shard scans `values[start..end]`
-//! positions of the shared column vectors and tests the shared validity
-//! bitmap at the same absolute positions, so no per-shard copies or bitmap
-//! re-slicing is needed and the emitted row ids can be concatenated without
-//! rebasing.
+//! positions of the shared column vectors, and its mask words are aligned to
+//! absolute 64-row chunks of the shared validity bitmap, so no per-shard
+//! copies, bitmap re-slicing or rebasing is needed. Shard boundaries need not
+//! fall on a word boundary: where two shards share a word, the lower shard
+//! emits its low bits and the next shard its high bits, at the same base.
 
 use std::ops::Range;
 

@@ -154,7 +154,7 @@ fn check_equivalence(table: &Table, predicate: &Predicate) {
     let compiled =
         CompiledPredicate::compile(predicate, table.schema()).expect("all generated columns exist");
     let oracle = predicate.evaluate(table);
-    let fast = compiled.evaluate(table);
+    let fast = select(&compiled, table, None).map(|(sel, _)| sel);
     match (&oracle, &fast) {
         (Ok(expected), Ok(actual)) => {
             assert_eq!(
@@ -359,19 +359,19 @@ fn adversarial_table(rng: &mut StdRng, rows: usize, regime: NullRegime) -> Table
     t
 }
 
-/// The sharded selection as the engine's SELECT path takes it: one
-/// `multi_scan` item streaming into a row-id sink.
-fn select_sharded(
+/// A selection as the engine's SELECT path takes it: one `multi_scan` item
+/// streaming into a row-id sink, serial or sharded over `parts`.
+fn select(
     compiled: &CompiledPredicate,
     table: &Table,
-    parts: &Partitioning,
+    parts: Option<&Partitioning>,
 ) -> sciborq_columnar::Result<(SelectionVector, ScanStats)> {
     let mut rows: Vec<usize> = Vec::new();
     let mut items = [MultiScanItem {
         predicate: compiled,
         sink: &mut rows,
     }];
-    let stats = multi_scan(table, &mut items, Some(parts))
+    let stats = multi_scan(table, &mut items, parts)
         .pop()
         .expect("one item, one result")?;
     Ok((SelectionVector::from_sorted_rows(rows), stats))
@@ -385,10 +385,10 @@ fn check_partitioned_matches_serial(table: &Table, predicate: &Predicate, shards
         CompiledPredicate::compile(predicate, table.schema()).expect("all generated columns exist");
     let parts = Partitioning::even(table.row_count(), shards);
     match (
-        compiled.evaluate(table),
-        select_sharded(&compiled, table, &parts),
+        select(&compiled, table, None),
+        select(&compiled, table, Some(&parts)),
     ) {
-        (Ok(expected), Ok((actual, _))) => {
+        (Ok((expected, _)), Ok((actual, _))) => {
             assert_eq!(expected, actual, "partitioned selection for {predicate}");
             let (count, _) = compiled
                 .count_matches_partitioned(table, &parts)
@@ -439,20 +439,26 @@ proptest! {
 
         check_equivalence(&table, &predicate);
         check_partitioned_matches_serial(&table, &predicate, shards);
-        let plain = CompiledPredicate::compile(&predicate, table.schema())
-            .expect("all generated columns exist")
-            .evaluate(&table);
+        let plain = select(
+            &CompiledPredicate::compile(&predicate, table.schema())
+                .expect("all generated columns exist"),
+            &table,
+            None,
+        );
 
         // Force dictionary encoding (no cardinality cap): the integer-code
         // kernels must reproduce the plain string kernels exactly.
         table.dict_encode_strings(usize::MAX);
         check_equivalence(&table, &predicate);
         check_partitioned_matches_serial(&table, &predicate, shards);
-        let dict = CompiledPredicate::compile(&predicate, table.schema())
-            .expect("all generated columns exist")
-            .evaluate(&table);
+        let dict = select(
+            &CompiledPredicate::compile(&predicate, table.schema())
+                .expect("all generated columns exist"),
+            &table,
+            None,
+        );
         match (&plain, &dict) {
-            (Ok(p), Ok(d)) => assert_eq!(p, d, "dict selection mismatch for {predicate}"),
+            (Ok((p, _)), Ok((d, _))) => assert_eq!(p, d, "dict selection mismatch for {predicate}"),
             (Err(_), Err(_)) => {}
             (p, d) => panic!("dict error divergence for {predicate}: plain {p:?} vs dict {d:?}"),
         }

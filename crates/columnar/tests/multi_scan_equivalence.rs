@@ -128,10 +128,11 @@ fn weighted_alone(
     Ok(sink.sketch)
 }
 
-/// Run `predicates` through one shared sweep, three sink flavours per
-/// predicate (count, moments over `mag`, weighted moments over `mag`), and
-/// assert each slot bit-matches the same item run alone — including error
-/// agreement.
+/// Run `predicates` through one shared sweep, four sink flavours per
+/// predicate (count, moments over `mag`, weighted moments over `mag`, and
+/// the row-id sink SELECT uses), and assert each slot bit-matches the same
+/// item run alone — the row ids match the scalar oracle's rows — including
+/// error agreement.
 fn check_multi_scan_equivalence(
     table: &Table,
     predicates: &[Predicate],
@@ -154,13 +155,15 @@ fn check_multi_scan_equivalence(
         .iter()
         .map(|_| WeightedMomentSink::new(numeric_source(table, "mag").unwrap(), &probabilities))
         .collect();
+    let mut selections: Vec<Vec<usize>> = compiled.iter().map(|_| Vec::new()).collect();
 
     let mut items: Vec<MultiScanItem<'_, '_>> = Vec::new();
-    for (((c, count), moment), weight) in compiled
+    for ((((c, count), moment), weight), rows) in compiled
         .iter()
         .zip(counts.iter_mut())
         .zip(moments.iter_mut())
         .zip(weighted.iter_mut())
+        .zip(selections.iter_mut())
     {
         items.push(MultiScanItem {
             predicate: c,
@@ -173,6 +176,10 @@ fn check_multi_scan_equivalence(
         items.push(MultiScanItem {
             predicate: c,
             sink: weight,
+        });
+        items.push(MultiScanItem {
+            predicate: c,
+            sink: rows,
         });
     }
     let results = multi_scan(table, &mut items, parts);
@@ -189,7 +196,7 @@ fn check_multi_scan_equivalence(
             }
         );
 
-        match (c.count_matches(table), &results[3 * i]) {
+        match (c.count_matches(table), &results[4 * i]) {
             (Ok((serial, _)), Ok(_)) => {
                 assert_eq!(counts[i].0, serial, "count for {context}");
             }
@@ -197,7 +204,7 @@ fn check_multi_scan_equivalence(
             (s, m) => panic!("count error divergence for {context}: {s:?} vs {m:?}"),
         }
 
-        match (c.filter_moments(table, "mag"), &results[3 * i + 1]) {
+        match (c.filter_moments(table, "mag"), &results[4 * i + 1]) {
             (Ok((serial, _)), Ok(_)) => {
                 let shared = &moments[i].sketch;
                 assert_eq!(shared.matched, serial.matched, "matched for {context}");
@@ -219,7 +226,7 @@ fn check_multi_scan_equivalence(
 
         match (
             weighted_alone(c, table, &probabilities),
-            &results[3 * i + 2],
+            &results[4 * i + 2],
         ) {
             (Ok(serial), Ok(_)) => {
                 let shared = &weighted[i].sketch;
@@ -245,6 +252,14 @@ fn check_multi_scan_equivalence(
             (Err(_), Err(_)) => {}
             (s, m) => panic!("weighted error divergence for {context}: {s:?} vs {m:?}"),
         }
+
+        match (p.evaluate(table), &results[4 * i + 3]) {
+            (Ok(oracle), Ok(_)) => {
+                assert_eq!(selections[i], oracle.rows(), "row ids for {context}");
+            }
+            (Err(_), Err(_)) => {}
+            (o, m) => panic!("row-id error divergence for {context}: {o:?} vs {m:?}"),
+        }
     }
 }
 
@@ -269,7 +284,10 @@ fn shared_sweeps_are_bit_identical_on_random_batches() {
 /// A table larger than one scan batch: the serial sweep crosses several
 /// `MULTI_SCAN_BATCH_ROWS` boundaries and must still reproduce the serial
 /// single-pass fold bit for bit (batch boundaries are the seam where a
-/// wrongly ordered replay would first show).
+/// wrongly ordered fold would first show). The sharded sweeps add shard
+/// boundaries inside a 64-row word, several shards sharing one word, and
+/// empty shards: there the shards emit the same word at the same base, and
+/// only ascending shard order keeps the rows ascending.
 #[test]
 fn batch_boundaries_preserve_bit_identity() {
     let mut rng = StdRng::seed_from_u64(42);
@@ -286,6 +304,16 @@ fn batch_boundaries_preserve_bit_identity() {
     check_multi_scan_equivalence(&table, &predicates, None);
     for shards in [2usize, 3, 5] {
         let parts = Partitioning::even(rows, shards);
+        check_multi_scan_equivalence(&table, &predicates, Some(&parts));
+    }
+    let mid_word = MULTI_SCAN_BATCH_ROWS + 37;
+    for bounds in [
+        vec![0, mid_word, rows],
+        vec![0, 100, 120, rows],
+        vec![0, 70, 70, 90, rows],
+        vec![0, 0, mid_word, rows, rows],
+    ] {
+        let parts = Partitioning::from_bounds(bounds).expect("ascending from zero");
         check_multi_scan_equivalence(&table, &predicates, Some(&parts));
     }
 }

@@ -147,19 +147,19 @@ fn assert_sketch_bits(a: &MomentSketch, b: &MomentSketch, context: &dyn std::fmt
     }
 }
 
-/// The sharded selection as the engine's SELECT path takes it: one
-/// `multi_scan` item streaming into a row-id sink.
-fn select_sharded(
+/// A selection as the engine's SELECT path takes it: one `multi_scan` item
+/// streaming into a row-id sink, serial or sharded over `parts`.
+fn select(
     compiled: &CompiledPredicate,
     table: &Table,
-    parts: &Partitioning,
+    parts: Option<&Partitioning>,
 ) -> sciborq_columnar::Result<(SelectionVector, ScanStats)> {
     let mut rows: Vec<usize> = Vec::new();
     let mut items = [MultiScanItem {
         predicate: compiled,
         sink: &mut rows,
     }];
-    let stats = multi_scan(table, &mut items, Some(parts))
+    let stats = multi_scan(table, &mut items, parts)
         .pop()
         .expect("one item, one result")?;
     Ok((SelectionVector::from_sorted_rows(rows), stats))
@@ -171,10 +171,10 @@ fn check_partitioned_equivalence(table: &Table, predicate: &Predicate, shards: u
     let compiled =
         CompiledPredicate::compile(predicate, table.schema()).expect("all generated columns exist");
     let parts = Partitioning::even(table.row_count(), shards);
-    let single = compiled.evaluate(table);
-    let sharded = select_sharded(&compiled, table, &parts);
+    let single = select(&compiled, table, None);
+    let sharded = select(&compiled, table, Some(&parts));
     match (&single, &sharded) {
-        (Ok(expected), Ok((actual, _))) => {
+        (Ok((expected, _)), Ok((actual, _))) => {
             assert_eq!(
                 expected,
                 actual,

@@ -15,8 +15,6 @@ pub struct SciborqConfig {
     pub default_max_error: f64,
     /// Random seed for all samplers (reproducibility).
     pub seed: u64,
-    /// Number of histogram bins per tracked attribute (β in the paper).
-    pub predicate_bins: usize,
     /// Fraction of workload shift (see
     /// [`sciborq_workload::focal_shift`]) above which maintenance rebuilds
     /// the biased impressions.
@@ -57,7 +55,6 @@ impl Default for SciborqConfig {
             confidence: 0.95,
             default_max_error: 0.1,
             seed: 0xC1B0_52B1,
-            predicate_bins: 24,
             adapt_threshold: 0.5,
             focal_threshold: 2.0,
             parallelism: 1,
@@ -94,9 +91,6 @@ impl SciborqConfig {
         }
         if !(self.default_max_error > 0.0) {
             return Err("default_max_error must be positive".to_owned());
-        }
-        if self.predicate_bins == 0 {
-            return Err("predicate_bins must be positive".to_owned());
         }
         if !(0.0..=1.0).contains(&self.adapt_threshold) {
             return Err("adapt_threshold must lie in [0, 1]".to_owned());
@@ -140,13 +134,6 @@ impl SciborqConfig {
     /// A copy of this configuration with the sampler seed set to `seed`.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// A copy of this configuration with `bins` histogram bins per tracked
-    /// attribute.
-    pub fn with_predicate_bins(mut self, bins: usize) -> Self {
-        self.predicate_bins = bins;
         self
     }
 
@@ -230,9 +217,6 @@ mod tests {
         c.default_max_error = 0.0;
         assert!(c.validate().is_err());
         c = SciborqConfig::default();
-        c.predicate_bins = 0;
-        assert!(c.validate().is_err());
-        c = SciborqConfig::default();
         c.adapt_threshold = 1.5;
         assert!(c.validate().is_err());
         c = SciborqConfig::default();
@@ -266,7 +250,6 @@ mod tests {
             .with_confidence(0.99)
             .with_default_max_error(0.05)
             .with_seed(7)
-            .with_predicate_bins(12)
             .with_adapt_threshold(0.25)
             .with_focal_threshold(3.0)
             .with_parallelism(4)
@@ -297,7 +280,6 @@ mod tests {
             confidence: 0.99,
             default_max_error: 0.05,
             seed: 7,
-            predicate_bins: 12,
             adapt_threshold: 0.25,
             focal_threshold: 3.0,
             parallelism: 4,

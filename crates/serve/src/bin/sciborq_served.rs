@@ -20,7 +20,6 @@
 
 use sciborq_columnar::{Catalog, DataType, Field, Schema, Table, Value};
 use sciborq_core::{ExplorationSession, SamplingPolicy, SciborqConfig};
-use sciborq_serve::json::Json;
 use sciborq_serve::{protocol, QueryServer, ServeConfig};
 use sciborq_telemetry::{LogLevel, Logger};
 use sciborq_workload::AttributeDomain;
@@ -233,7 +232,7 @@ fn main() {
                             ("message", error.to_string()),
                         ],
                     );
-                    protocol::render_protocol_error(&Json::Null, &error)
+                    protocol::render_protocol_error(error.id(), &error)
                 }
             };
             let mut out = stdout.lock().unwrap();

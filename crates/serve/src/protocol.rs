@@ -42,7 +42,9 @@
 //!   `malformed` (bytes that are not JSON within the parser's size/depth
 //!   bounds), `invalid-request` (JSON that is not a request),
 //!   `internal-fault` (an isolated fault consumed every rung of the
-//!   degradation ladder) or `query-error` (anything else typed).
+//!   degradation ladder) or `query-error` (anything else typed). A
+//!   `malformed` line has no document to read an id from, so its `id` is
+//!   `null`; every other error echoes the request's `id`.
 
 #![deny(
     clippy::unwrap_used,
@@ -99,7 +101,13 @@ pub enum ProtocolError {
     /// The line is not valid JSON within the parser's size/depth bounds.
     Malformed(JsonError),
     /// Valid JSON, but not a valid request object.
-    Invalid(String),
+    Invalid {
+        /// The document's `id`, echoed on the error reply (`null` when the
+        /// document has none).
+        id: Json,
+        /// What makes the document not a request.
+        message: String,
+    },
 }
 
 impl ProtocolError {
@@ -107,7 +115,16 @@ impl ProtocolError {
     pub fn code(&self) -> &'static str {
         match self {
             ProtocolError::Malformed(_) => "malformed",
-            ProtocolError::Invalid(_) => "invalid-request",
+            ProtocolError::Invalid { .. } => "invalid-request",
+        }
+    }
+
+    /// The id to echo on the error reply: the request's own `id` when the
+    /// line parsed as JSON, `null` when it never did.
+    pub fn id(&self) -> &Json {
+        match self {
+            ProtocolError::Malformed(_) => &Json::Null,
+            ProtocolError::Invalid { id, .. } => id,
         }
     }
 }
@@ -116,7 +133,7 @@ impl std::fmt::Display for ProtocolError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ProtocolError::Malformed(err) => write!(f, "malformed JSON: {err}"),
-            ProtocolError::Invalid(message) => f.write_str(message),
+            ProtocolError::Invalid { message, .. } => f.write_str(message),
         }
     }
 }
@@ -126,7 +143,10 @@ impl std::error::Error for ProtocolError {}
 /// Parse one request line.
 pub fn parse_request(line: &str) -> Result<Request, ProtocolError> {
     let doc = Json::parse(line).map_err(ProtocolError::Malformed)?;
-    parse_request_doc(&doc).map_err(ProtocolError::Invalid)
+    parse_request_doc(&doc).map_err(|message| ProtocolError::Invalid {
+        id: doc.get("id").cloned().unwrap_or(Json::Null),
+        message,
+    })
 }
 
 fn parse_request_doc(doc: &Json) -> Result<Request, String> {
@@ -288,6 +308,9 @@ fn parse_bounds(doc: &Json) -> Result<QueryBounds, String> {
         bounds.time_budget = Some(budget);
     }
     if let Some(n) = doc.get("min_result_rows").and_then(Json::as_f64) {
+        if !(n >= 0.0) {
+            return Err("'min_result_rows' must be non-negative".to_owned());
+        }
         bounds.min_result_rows = Some(n as usize);
     }
     Ok(bounds)
@@ -572,9 +595,39 @@ mod tests {
             );
             assert!(matches!(
                 parse_request(&line),
-                Err(ProtocolError::Invalid(_))
+                Err(ProtocolError::Invalid { .. })
             ));
         }
+        // A negative row floor would silently become 0.
+        assert!(matches!(
+            parse_request(
+                r#"{"query": {"table": "t", "kind": "count"}, "bounds": {"min_result_rows": -5}}"#
+            ),
+            Err(ProtocolError::Invalid { .. })
+        ));
+    }
+
+    #[test]
+    fn invalid_requests_keep_their_id() {
+        for (line, id) in [
+            (
+                r#"{"id": 3, "query": {"table": "t", "kind": "count"}, "bounds": {"max_rows_scanned": -5}}"#,
+                3.0,
+            ),
+            (
+                r#"{"id": 4, "query": {"table": "t", "kind": "median"}}"#,
+                4.0,
+            ),
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert_eq!(err.code(), "invalid-request", "{line}");
+            assert_eq!(err.id(), &Json::Num(id), "{line}");
+            let doc = Json::parse(&render_protocol_error(err.id(), &err)).unwrap();
+            assert_eq!(doc.get("id").unwrap().as_f64(), Some(id), "{line}");
+            assert_eq!(doc.get("code").unwrap().as_str(), Some("invalid-request"));
+        }
+        // A line that never parsed has no id to echo.
+        assert_eq!(parse_request(r#"{"id": 5,"#).unwrap_err().id(), &Json::Null);
     }
 
     #[test]
@@ -593,8 +646,13 @@ mod tests {
         assert_eq!(doc.get("reason").unwrap().as_str(), Some("queue-full"));
         assert_eq!(doc.get("id").unwrap().as_f64(), Some(9.0));
 
-        let err =
-            render_protocol_error(&Json::Null, &ProtocolError::Invalid("bad line".to_owned()));
+        let err = render_protocol_error(
+            &Json::Null,
+            &ProtocolError::Invalid {
+                id: Json::Null,
+                message: "bad line".to_owned(),
+            },
+        );
         let doc = Json::parse(&err).unwrap();
         assert_eq!(doc.get("status").unwrap().as_str(), Some("error"));
         assert_eq!(doc.get("code").unwrap().as_str(), Some("invalid-request"));

@@ -11,7 +11,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 SNAPSHOT="crates/bench/BENCH_serving_metrics.json"
 REPLIES="$(mktemp)"
-trap 'rm -f "$REPLIES"' EXIT
+BAD="$(mktemp)"
+trap 'rm -f "$REPLIES" "$BAD"' EXIT
 
 cargo build --release -p sciborq-serve --bin sciborq-served
 
@@ -87,4 +88,18 @@ grep -q '"serve.queries_served":6' "$SNAPSHOT" || fail "snapshot serve.queries_s
 grep -Eq '"engine.rows_scanned":[1-9]' "$SNAPSHOT" || fail "snapshot rows_scanned is zero"
 grep -Eq '"engine.query_micros":\{"count":6' "$SNAPSHOT" || fail "latency histogram count != 6"
 
-echo "serve_smoke: ok (8 ok replies, 5 typed fuzz rejections, registry saw 6 queries)"
+# an invalid request keeps its id, and a negative row floor is rejected
+# rather than read as 0 (a second, separate run, so the counts above stay
+# those of the first)
+{
+  printf '{"id":41,"query":{"table":"photoobj","kind":"median"}}\n'
+  printf '{"id":42,"query":{"table":"photoobj","kind":"select","limit":25,"predicate":{"op":"lt","column":"ra","value":90.0}},"bounds":{"min_result_rows":-5}}\n'
+} | ./target/release/sciborq-served --rows 5000 --layers 500,50 > "$BAD"
+cat "$BAD"
+id41="$(grep '"id":41,' "$BAD")" || fail "the invalid request lost its id"
+grep -q '"code":"invalid-request"' <<<"$id41" || fail "id 41 is not invalid-request: $id41"
+id42="$(grep '"id":42,' "$BAD")" || fail "no reply to the negative min_result_rows"
+grep -q '"code":"invalid-request"' <<<"$id42" \
+  || fail "a negative min_result_rows was accepted: $id42"
+
+echo "serve_smoke: ok (8 ok replies, 5 typed fuzz rejections, registry saw 6 queries, invalid requests keep their id)"
