@@ -951,7 +951,7 @@ mod tests {
     }
 
     /// The serial selection alone.
-    fn evaluate(c: &CompiledPredicate, t: &Table) -> Result<SelectionVector> {
+    fn select_serial(c: &CompiledPredicate, t: &Table) -> Result<SelectionVector> {
         select(c, t, None).map(|(sel, _)| sel)
     }
 
@@ -979,7 +979,7 @@ mod tests {
         ];
         for p in predicates {
             let oracle = p.evaluate(&t).unwrap();
-            let fast = evaluate(&compiled(&p, &t), &t).unwrap();
+            let fast = select_serial(&compiled(&p, &t), &t).unwrap();
             assert_eq!(oracle, fast, "predicate {p}");
         }
     }
@@ -999,7 +999,7 @@ mod tests {
         let p = Predicate::eq("class", 5);
         let c = compiled(&p, &t);
         assert!(matches!(
-            evaluate(&c, &t),
+            select_serial(&c, &t),
             Err(ColumnarError::TypeMismatch { .. })
         ));
         // but an all-NULL column never raises the mismatch
@@ -1009,7 +1009,7 @@ mod tests {
         let p = Predicate::eq("x", 5);
         assert!(p.evaluate(&empty).unwrap().is_empty());
         let c = CompiledPredicate::compile(&p, empty.schema()).unwrap();
-        assert!(evaluate(&c, &empty).unwrap().is_empty());
+        assert!(select_serial(&c, &empty).unwrap().is_empty());
     }
 
     #[test]
@@ -1017,11 +1017,11 @@ mod tests {
         let t = test_table();
         let p = Predicate::eq("class", "NO_SUCH").and(Predicate::eq("ra", "not a number"));
         assert!(p.evaluate(&t).unwrap().is_empty());
-        assert!(evaluate(&compiled(&p, &t), &t).unwrap().is_empty());
+        assert!(select_serial(&compiled(&p, &t), &t).unwrap().is_empty());
         // without the short circuit the mismatch fires on both paths
         let p = Predicate::eq("class", "GALAXY").and(Predicate::eq("ra", "not a number"));
         assert!(p.evaluate(&t).is_err());
-        assert!(evaluate(&compiled(&p, &t), &t).is_err());
+        assert!(select_serial(&compiled(&p, &t), &t).is_err());
     }
 
     #[test]
@@ -1029,7 +1029,7 @@ mod tests {
         let t = test_table();
         let p = Predicate::gt("ra", f64::NAN);
         assert!(p.evaluate(&t).is_err());
-        assert!(evaluate(&compiled(&p, &t), &t).is_err());
+        assert!(select_serial(&compiled(&p, &t), &t).is_err());
     }
 
     #[test]
@@ -1037,10 +1037,10 @@ mod tests {
         let t = test_table();
         let p = Predicate::between("ra", Value::Null, 190.0);
         assert!(p.evaluate(&t).unwrap().is_empty());
-        assert!(evaluate(&compiled(&p, &t), &t).unwrap().is_empty());
+        assert!(select_serial(&compiled(&p, &t), &t).unwrap().is_empty());
         let p = Predicate::between("ra", Value::Null, "oops");
         assert!(p.evaluate(&t).is_err());
-        assert!(evaluate(&compiled(&p, &t), &t).is_err());
+        assert!(select_serial(&compiled(&p, &t), &t).is_err());
     }
 
     #[test]
@@ -1055,7 +1055,7 @@ mod tests {
         ] {
             let c = compiled(&p, &t);
             let (count, _) = c.count_matches(&t).unwrap();
-            assert_eq!(count, evaluate(&c, &t).unwrap().len(), "predicate {p}");
+            assert_eq!(count, select_serial(&c, &t).unwrap().len(), "predicate {p}");
         }
     }
 
@@ -1111,7 +1111,7 @@ mod tests {
         let other_schema = Schema::shared(vec![Field::new("x", DataType::Int64)]).unwrap();
         let other = Table::new("other", other_schema);
         let c = compiled(&Predicate::True, &t);
-        assert!(evaluate(&c, &other).is_err());
+        assert!(select_serial(&c, &other).is_err());
         assert!(c.matches_schema(t.schema()));
         assert!(!c.matches_schema(other.schema()));
     }
@@ -1490,7 +1490,7 @@ mod tests {
         let p =
             Predicate::between("ra", 175.0, 191.0).and(Predicate::eq("class", "GALAXY").negate());
         let oracle = p.evaluate(&t).unwrap();
-        let fast = evaluate(&compiled(&p, &t), &t).unwrap();
+        let fast = select_serial(&compiled(&p, &t), &t).unwrap();
         assert_eq!(oracle, fast);
         assert_eq!(fast.rows(), &[1]);
     }
